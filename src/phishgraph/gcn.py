@@ -150,9 +150,16 @@ def init_model(
 
 @dataclass
 class ForwardCache:
-    propagated: list[np.ndarray]       # A_hat @ H(l) per layer, incl. output
+    # per layer, the operand multiplied by W(l): A_hat @ H(l) when the layer
+    # propagates first, H(l) itself when it propagates after the product
+    weight_inputs: list[np.ndarray]
     pre_activation: list[np.ndarray]   # Z(l) for hidden layers (ReLU inputs)
     dropout_masks: list[np.ndarray | None]
+
+
+def _propagates_after(w: np.ndarray) -> bool:
+    """True when a layer narrows, so A_hat @ (H @ W) moves fewer columns."""
+    return w.shape[1] < w.shape[0]
 
 
 def forward(
@@ -163,7 +170,11 @@ def forward(
     dropout_rate: float = 0.0,
     dropout_seed: int = 0,
 ) -> tuple[np.ndarray, ForwardCache]:
-    """Run the propagation rule; returns row-stochastic probabilities."""
+    """Run the propagation rule; returns row-stochastic probabilities.
+
+    Each layer multiplies A_hat into its narrower side: A_hat @ (H @ W) when
+    the layer narrows, (A_hat @ H) @ W otherwise.
+    """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.weights[0].shape[0]:
         raise ShapeMismatch(
@@ -178,16 +189,22 @@ def forward(
     keep = 1.0 - dropout_rate
 
     h = X
-    propagated: list[np.ndarray] = []
+    weight_inputs: list[np.ndarray] = []
     pre_activation: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     n_hidden = len(model.weights) - 1
-    for layer in range(n_hidden):
-        p = spmv(adj, h)
-        propagated.append(p)
-        z = p @ model.weights[layer]
+    for layer, w in enumerate(model.weights):
+        if _propagates_after(w):
+            weight_inputs.append(h)
+            z = spmv(adj, h @ w)
+        else:
+            p = spmv(adj, h)
+            weight_inputs.append(p)
+            z = p @ w
         if model.biases is not None:
             z = z + model.biases[layer]
+        if layer == n_hidden:
+            break
         pre_activation.append(z)
         h = np.maximum(z, 0.0)
         if drop:
@@ -197,15 +214,10 @@ def forward(
         else:
             masks.append(None)
 
-    p = spmv(adj, h)
-    propagated.append(p)
-    logits = p @ model.weights[-1]
-    if model.biases is not None:
-        logits = logits + model.biases[-1]
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    return probs, ForwardCache(propagated, pre_activation, masks)
+    return probs, ForwardCache(weight_inputs, pre_activation, masks)
 
 
 def class_weights(
@@ -263,45 +275,45 @@ def backward(
     weights: tuple[float, float],
     mask: np.ndarray,
     adj_t: SparseMatrix,
-    dropout_rate: float = 0.0,
 ) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
     """Analytic gradients of the weighted loss for every layer.
 
     `adj_t` is the transpose of the propagation operator (equal to it when
     symmetrized). The dropout masks cached by the forward pass are reused so
-    the gradient matches the exact function that was evaluated.
+    the gradient matches the exact function that was evaluated. A layer that
+    propagated after its product takes A_hat^T @ delta first, then W^T; the
+    others take delta @ W^T first, so each pass moves the narrow side.
     """
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
     n = probs.shape[0]
 
-    grad_out = probs.copy()
-    grad_out[np.arange(n), labels] -= 1.0
-    w = np.asarray(weights)[labels]
-    grad_out *= (w * mask)[:, None]
+    upstream = probs.copy()
+    upstream[np.arange(n), labels] -= 1.0
+    node_weight = np.asarray(weights)[labels]
+    upstream *= (node_weight * mask)[:, None]
 
-    grads_w: list[np.ndarray] = [np.zeros_like(w_) for w_ in model.weights]
+    grads_w: list[np.ndarray] = [np.zeros_like(w) for w in model.weights]
     grads_b = (
         [np.zeros_like(b) for b in model.biases] if model.biases is not None else None
     )
 
-    delta = grad_out
-    grads_w[-1] = cache.propagated[-1].T @ delta
-    if grads_b is not None:
-        grads_b[-1] = delta.sum(axis=0)
-    upstream = spmv(adj_t, delta @ model.weights[-1].T)
-
-    keep = 1.0 - dropout_rate
-    for layer in range(len(model.weights) - 2, -1, -1):
-        d_act = upstream
-        if cache.dropout_masks[layer] is not None:
-            d_act = d_act * cache.dropout_masks[layer]
-        delta = d_act * (cache.pre_activation[layer] > 0.0)
-        grads_w[layer] = cache.propagated[layer].T @ delta
+    n_hidden = len(model.weights) - 1
+    for layer in range(n_hidden, -1, -1):
+        delta = upstream
+        if layer < n_hidden:
+            if cache.dropout_masks[layer] is not None:
+                delta = delta * cache.dropout_masks[layer]
+            delta = delta * (cache.pre_activation[layer] > 0.0)
         if grads_b is not None:
             grads_b[layer] = delta.sum(axis=0)
+        w = model.weights[layer]
+        after = _propagates_after(w)
+        if after:
+            delta = spmv(adj_t, delta)
+        grads_w[layer] = cache.weight_inputs[layer].T @ delta
         if layer > 0:
-            upstream = spmv(adj_t, delta @ model.weights[layer].T)
+            upstream = delta @ w.T if after else spmv(adj_t, delta @ w.T)
     return grads_w, grads_b
 
 
@@ -348,25 +360,6 @@ class AdamState:
         if model.biases is not None and grads_b is not None:
             for b, g, m, v in zip(model.biases, grads_b, self.m_b, self.v_b):
                 self._update(b, g, m, v)
-
-
-def backward_and_step(
-    model: GcnModel,
-    cache: ForwardCache,
-    probs: np.ndarray,
-    labels: np.ndarray,
-    weights: tuple[float, float],
-    mask: np.ndarray,
-    adj_t: SparseMatrix,
-    optimizer_state,
-    dropout_rate: float = 0.0,
-) -> GcnModel:
-    """One optimizer update from the cached forward pass; returns the model."""
-    grads_w, grads_b = backward(
-        model, cache, probs, labels, weights, mask, adj_t, dropout_rate
-    )
-    optimizer_state.step(model, grads_w, grads_b)
-    return model
 
 
 @dataclass
@@ -425,17 +418,10 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
         loss = weighted_ce_loss(probs, batch.labels, w_pair, batch.train_mask)
         report.losses.append(loss)
         report.losses_mean.append(loss / n_train if n_train else 0.0)
-        backward_and_step(
-            model,
-            cache,
-            probs,
-            batch.labels,
-            w_pair,
-            batch.train_mask,
-            adj_t,
-            optimizer,
-            cfg.dropout_rate,
+        grads_w, grads_b = backward(
+            model, cache, probs, batch.labels, w_pair, batch.train_mask, adj_t
         )
+        optimizer.step(model, grads_w, grads_b)
         # train metrics come from a clean inference pass on the updated
         # weights, so the last entry describes the returned model
         pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)

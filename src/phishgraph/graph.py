@@ -9,7 +9,6 @@ own features. Both behaviors are flag-selectable for ablation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -68,51 +67,57 @@ def build_graph(ds: LabeledDataset) -> TxGraph:
     return TxGraph(tuple(addresses), edges, weights, node_index)
 
 
-def write_edge_list(g: TxGraph, path: str | Path) -> None:
-    """Dump `src_address dst_address weight` lines for external inspection."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for (src, dst), w in zip(g.edges, g.edge_weights):
-            fh.write(f"{g.addresses[int(src)]} {g.addresses[int(dst)]} {int(w)}\n")
-
-
-@dataclass(eq=False)
 class SparseMatrix:
-    """Compressed-sparse-row matrix with float64 values."""
+    """Compressed-sparse-row float64 matrix backed by ``scipy.sparse.csr_array``.
 
-    n_rows: int
-    n_cols: int
-    indptr: np.ndarray   # (n_rows + 1,) int64, non-decreasing
-    indices: np.ndarray  # (nnz,) int64 column ids, strictly increasing per row
-    values: np.ndarray   # (nnz,) float64
+    Construction checks the CSR arrays before scipy sees them: row pointers
+    that start at 0, end at nnz and never decrease, column ids in range and
+    strictly increasing within each row. scipy is imported here and not at
+    module level, so commands that never build the operator never load it.
+    """
 
-    def __post_init__(self):
-        self.indptr = np.asarray(self.indptr, dtype=np.int64)
-        self.indices = np.asarray(self.indices, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.indptr.shape != (self.n_rows + 1,):
+    def __init__(
+        self,
+        n_rows: int,
+        n_cols: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        values: np.ndarray,
+    ):
+        from scipy.sparse import csr_array
+
+        indptr = np.asarray(indptr, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        values = np.asarray(values, dtype=np.float64)
+        if indptr.shape != (n_rows + 1,):
             raise ShapeMismatch("indptr has wrong length")
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.indices):
+        if indptr[0] != 0 or indptr[-1] != len(indices):
             raise ShapeMismatch("indptr endpoints inconsistent with nnz")
-        if np.any(np.diff(self.indptr) < 0):
+        row_lengths = np.diff(indptr)
+        if np.any(row_lengths < 0):
             raise ShapeMismatch("indptr must be non-decreasing")
-        if len(self.indices) != len(self.values):
+        if len(indices) != len(values):
             raise ShapeMismatch("indices/values length mismatch")
-        if self.indices.size and (
-            self.indices.min() < 0 or self.indices.max() >= self.n_cols
-        ):
+        if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
             raise ShapeMismatch("column id out of range")
-        for r in range(self.n_rows):
-            row = self.indices[self.indptr[r] : self.indptr[r + 1]]
-            if row.size > 1 and np.any(np.diff(row) <= 0):
-                raise ShapeMismatch(f"column ids not strictly increasing in row {r}")
-        # Row id per stored entry; precomputed once for vectorized products.
-        self._row_ids = np.repeat(
-            np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr)
-        )
+        row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), row_lengths)
+        unordered = (np.diff(indices) <= 0) & (row_ids[1:] == row_ids[:-1])
+        if unordered.any():
+            r = row_ids[np.argmax(unordered)]
+            raise ShapeMismatch(f"column ids not strictly increasing in row {r}")
+        self.csr = csr_array((values, indices, indptr), shape=(n_rows, n_cols))
+
+    @property
+    def n_rows(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.csr.shape[1]
 
     @property
     def nnz(self) -> int:
-        return len(self.values)
+        return self.csr.nnz
 
     @classmethod
     def from_coo(
@@ -124,33 +129,29 @@ class SparseMatrix:
         values: np.ndarray,
     ) -> "SparseMatrix":
         """Build CSR from triplets; duplicate coordinates are summed."""
+        from scipy.sparse import coo_array
+
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        order = np.lexsort((cols, rows))
-        rows, cols, values = rows[order], cols[order], values[order]
-        if len(rows):
-            fresh = np.concatenate(
-                ([True], (np.diff(rows) != 0) | (np.diff(cols) != 0))
-            )
-            group = np.cumsum(fresh) - 1
-            merged = np.zeros(group[-1] + 1, dtype=np.float64)
-            np.add.at(merged, group, values)
-            rows, cols, values = rows[fresh], cols[fresh], merged
-        indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
-        return cls(n_rows, n_cols, indptr, cols, values)
+        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
+            raise ShapeMismatch("row id out of range")
+        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
+            raise ShapeMismatch("column id out of range")
+        coo = coo_array(
+            (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n_rows, n_cols)
+        )
+        return cls._from_csr(coo.tocsr())
+
+    @classmethod
+    def _from_csr(cls, csr) -> "SparseMatrix":
+        csr.sum_duplicates()  # also sorts the column ids of each row
+        return cls(*csr.shape, csr.indptr, csr.indices, csr.data)
 
     def to_dense(self) -> np.ndarray:
-        dense = np.zeros((self.n_rows, self.n_cols))
-        dense[self._row_ids, self.indices] = self.values
-        return dense
+        return self.csr.toarray()
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix.from_coo(
-            self.n_cols, self.n_rows, self.indices, self._row_ids, self.values
-        )
+        return SparseMatrix._from_csr(self.csr.T.tocsr())
 
 
 def spmv(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:
@@ -160,12 +161,7 @@ def spmv(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:
         raise ShapeMismatch(
             f"operand has {dense.shape[0]} rows, matrix has {m.n_cols} columns"
         )
-    out_shape = (m.n_rows,) + dense.shape[1:]
-    out = np.zeros(out_shape)
-    if m.nnz:
-        contrib = m.values.reshape((-1,) + (1,) * (dense.ndim - 1)) * dense[m.indices]
-        np.add.at(out, m._row_ids, contrib)
-    return out
+    return m.csr @ dense
 
 
 def normalized_adjacency(
@@ -177,34 +173,25 @@ def normalized_adjacency(
     A~ = A + I when self-loops are on, returns D^{-1/2} A~ D^{-1/2} where D is
     the diagonal of A~'s row sums. Rows of degree zero (possible only with
     self-loops off) come out as all-zero rows rather than dividing by zero.
+    A self-transfer is an edge on the diagonal, so with self-loops on its
+    node's diagonal entry of A~ is 2.
     """
     n = g.n_nodes
-    entries: dict[tuple[int, int], float] = {}
-    for src, dst in g.edges:
-        entries[(int(src), int(dst))] = 1.0
-        if symmetrize:
-            entries[(int(dst), int(src))] = 1.0
+    src, dst = g.edges[:, 0], g.edges[:, 1]
+    if symmetrize:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    # one key per distinct (row, col): parallel and mirrored edges collapse to 1
+    base = max(n, 1)
+    pairs = np.unique(src * base + dst)
+    rows, cols = pairs // base, pairs % base
     if add_self_loops:
-        for i in range(n):
-            entries[(i, i)] = entries.get((i, i), 0.0) + 1.0
-
-    degree = np.zeros(n)
-    for (i, _j), a in entries.items():
-        degree[i] += a
+        loops = np.arange(n, dtype=np.int64)
+        rows, cols = np.concatenate((rows, loops)), np.concatenate((cols, loops))
+    degree = np.bincount(rows, minlength=n).astype(np.float64)
     inv_sqrt = np.zeros(n)
     positive = degree > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
-
-    if not entries:
-        return SparseMatrix.from_coo(
-            n, n, np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
-        )
-    rows = np.array([i for i, _ in entries], dtype=np.int64)
-    cols = np.array([j for _, j in entries], dtype=np.int64)
-    vals = np.array(
-        [a * inv_sqrt[i] * inv_sqrt[j] for (i, j), a in entries.items()]
-    )
-    return SparseMatrix.from_coo(n, n, rows, cols, vals)
+    return SparseMatrix.from_coo(n, n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
 @dataclass

@@ -2,8 +2,9 @@
 
 The oracles here are deliberately independent routes: dense matrix algebra
 for the sparse forward pass, central finite differences for the analytic
-gradients, and plain pairwise counting for the metrics. They never call the
-code paths they are used to check.
+gradients, per-entry dictionaries for the normalized adjacency, and plain
+pairwise counting for the metrics. They never call the code paths they are
+used to check.
 """
 from __future__ import annotations
 
@@ -88,14 +89,21 @@ def random_tx_dataset(seed: int, n_addr: int = 8, n_tx: int = 14,
 # ------------------------------------------------------------------ oracles
 
 
-def dense_forward_oracle(model, adj_dense: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Dense-matrix reference for the propagation rule (inference path)."""
+def dense_forward_oracle(model, adj_dense: np.ndarray, X: np.ndarray,
+                         dropout_masks=None) -> np.ndarray:
+    """Dense-matrix reference for the propagation rule.
+
+    Without masks this is the inference path; with the masks a training
+    forward pass drew, it is that pass's function.
+    """
     h = X
     for layer in range(len(model.weights) - 1):
         z = adj_dense @ h @ model.weights[layer]
         if model.biases is not None:
             z = z + model.biases[layer]
         h = np.maximum(z, 0.0)
+        if dropout_masks is not None:
+            h = h * dropout_masks[layer]
     logits = adj_dense @ h @ model.weights[-1]
     if model.biases is not None:
         logits = logits + model.biases[-1]
@@ -103,13 +111,37 @@ def dense_forward_oracle(model, adj_dense: np.ndarray, X: np.ndarray) -> np.ndar
     return exp / exp.sum(axis=1, keepdims=True)
 
 
+def normalized_adjacency_oracle(g, add_self_loops: bool = True,
+                                symmetrize: bool = True) -> np.ndarray:
+    """Dense D^{-1/2} (A + I) D^{-1/2} built one entry at a time in a dict."""
+    n = g.n_nodes
+    entries: dict[tuple[int, int], float] = {}
+    for src, dst in g.edges:
+        entries[(int(src), int(dst))] = 1.0
+        if symmetrize:
+            entries[(int(dst), int(src))] = 1.0
+    if add_self_loops:
+        for i in range(n):
+            entries[(i, i)] = entries.get((i, i), 0.0) + 1.0
+    degree = np.zeros(n)
+    for (i, _j), a in entries.items():
+        degree[i] += a
+    # a node of degree zero (loops off) scales its row and column to zero
+    inv_sqrt = [1.0 / np.sqrt(d) if d > 0 else 0.0 for d in degree]
+    dense = np.zeros((n, n))
+    for (i, j), a in entries.items():
+        dense[i, j] = a * inv_sqrt[i] * inv_sqrt[j]
+    return dense
+
+
 def random_graph_instance(seed: int, n_addr: int = 6, n_feat: int = 3,
-                          hidden: tuple[int, ...] = (4,), use_bias: bool = False):
+                          hidden: tuple[int, ...] = (4,), use_bias: bool = False,
+                          symmetrize: bool = True):
     """(normalized adjacency, features, labels, model) on a random graph."""
     rng = np.random.default_rng(seed)
     ds = random_tx_dataset(seed, n_addr=n_addr, n_tx=2 * n_addr, phishing_rate=0.4)
     g = build_graph(ds)
-    adj = normalized_adjacency(g)
+    adj = normalized_adjacency(g, symmetrize=symmetrize)
     X = rng.normal(size=(g.n_nodes, n_feat))
     y = labels_vector(ds, g)
     model = init_model(n_feat, hidden, seed=seed, use_bias=use_bias)
@@ -127,7 +159,7 @@ def finite_difference_check(adj, X, y, model, weights_pair, dropout=0.0, seed=0,
     probs, cache = forward(
         model, adj, X, training=True, dropout_rate=dropout, dropout_seed=seed
     )
-    gw, gb = backward(model, cache, probs, y, weights_pair, mask, adj_t, dropout)
+    gw, gb = backward(model, cache, probs, y, weights_pair, mask, adj_t)
 
     def loss_at_current():
         p, _ = forward(

@@ -11,7 +11,7 @@ from phishgraph.gcn import (
     GcnConfig,
     GcnModel,
     GradientDescentState,
-    backward_and_step,
+    backward,
     class_weights,
     forward,
     init_model,
@@ -101,6 +101,18 @@ class TestForward:
             dense_probs = dense_forward_oracle(model, adj.to_dense(), X)
             assert np.abs(sparse_probs - dense_probs).max() <= 1e-9
 
+    @pytest.mark.parametrize("hidden", [(6, 2), (2,)])
+    def test_training_pass_matches_dense_oracle_both_orders(self, hidden):
+        for seed in range(6):
+            adj, X, _, model = random_graph_instance(
+                seed, hidden=hidden, use_bias=True, symmetrize=seed % 2 == 0
+            )
+            probs, cache = forward(
+                model, adj, X, training=True, dropout_rate=0.3, dropout_seed=seed
+            )
+            dense = dense_forward_oracle(model, adj.to_dense(), X, cache.dropout_masks)
+            assert np.abs(probs - dense).max() <= 1e-12
+
     def test_feature_width_checked(self):
         adj, X, _, model = random_graph_instance(3)
         with pytest.raises(ShapeMismatch):
@@ -176,14 +188,25 @@ class TestGradients:
         adj, X, y, model = random_graph_instance(20, n_addr=5, hidden=(4, 3))
         finite_difference_check(adj, X, y, model, (0.5, 3.0))
 
+    @pytest.mark.parametrize("hidden", [(6, 2), (2,)])
+    def test_finite_differences_both_propagation_orders(self, hidden):
+        # on 3 features, (6, 2) widens, narrows, then holds at 2 -> 2;
+        # (2,) narrows at the first layer, which then needs A_hat^T delta
+        for seed in range(3):
+            adj, X, y, model = random_graph_instance(
+                30 + seed, n_addr=6, hidden=hidden, use_bias=True, symmetrize=False
+            )
+            finite_difference_check(adj, X, y, model, (0.8, 2.2), dropout=0.3, seed=seed)
+
     def test_zero_learning_rate_leaves_model_unchanged(self):
         adj, X, y, model = random_graph_instance(6)
         before = [w.copy() for w in model.weights]
         probs, cache = forward(model, adj, X, training=True)
-        backward_and_step(
+        grads_w, grads_b = backward(
             model, cache, probs, y, (1.0, 1.0), np.ones(len(y), dtype=bool),
-            adj.transpose(), GradientDescentState(0.0),
+            adj.transpose(),
         )
+        GradientDescentState(0.0).step(model, grads_w, grads_b)
         for w, orig in zip(model.weights, before):
             assert np.array_equal(w, orig)
 
@@ -193,10 +216,8 @@ class TestGradients:
         w_pair = (1.0, 1.0)
         probs, cache = forward(model, adj, X, training=True)
         before = weighted_ce_loss(probs, y, w_pair, mask)
-        backward_and_step(
-            model, cache, probs, y, w_pair, mask, adj.transpose(),
-            GradientDescentState(0.01),
-        )
+        grads_w, grads_b = backward(model, cache, probs, y, w_pair, mask, adj.transpose())
+        GradientDescentState(0.01).step(model, grads_w, grads_b)
         after_probs, _ = forward(model, adj, X, training=True)
         assert weighted_ce_loss(after_probs, y, w_pair, mask) < before
 

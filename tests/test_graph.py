@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +14,18 @@ from phishgraph.graph import (
     normalized_adjacency,
     spmv,
     to_training_inputs,
-    write_edge_list,
 )
 from phishgraph.evaluate import stratified_split
 from phishgraph.features import FeatureMatrix
 
-from helpers import addr, dataset_from, labels_vector, make_tx, random_tx_dataset
+from helpers import (
+    addr,
+    dataset_from,
+    labels_vector,
+    make_tx,
+    normalized_adjacency_oracle,
+    random_tx_dataset,
+)
 
 
 def power_iteration_radius(dense: np.ndarray, iters: int = 500) -> float:
@@ -82,12 +92,6 @@ class TestBuildGraph:
         assert canonical(g1) == canonical(g2)
         assert set(g1.addresses) == set(g2.addresses)
 
-    def test_edge_list_dump(self, tmp_path):
-        ds = dataset_from([make_tx(1, addr(1), addr(2)), make_tx(2, addr(1), addr(2))])
-        path = tmp_path / "edges.txt"
-        write_edge_list(build_graph(ds), path)
-        assert path.read_text() == f"{addr(1)} {addr(2)} 2\n"
-
 
 class TestSparseMatrix:
     def test_csr_invariants_enforced(self):
@@ -111,6 +115,28 @@ class TestSparseMatrix:
         rows, cols = np.nonzero(dense)
         m = SparseMatrix.from_coo(5, 3, rows, cols, dense[rows, cols])
         assert np.allclose(m.transpose().to_dense(), dense.T)
+
+    def test_row_order_checked_in_every_row(self):
+        # rows 0 and 2 are fine; row 1 repeats a column
+        with pytest.raises(ShapeMismatch, match="row 1"):
+            SparseMatrix(
+                3, 3, np.array([0, 2, 4, 5]), np.array([0, 2, 1, 1, 0]), np.ones(5)
+            )
+        # a column id that falls across a row boundary is not a violation
+        m = SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([1, 2, 0]), np.ones(3))
+        assert np.array_equal(m.to_dense(), [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+
+    def test_from_coo_rejects_out_of_range_coordinates(self):
+        for rows, cols in (([2], [0]), ([0], [2]), ([-1], [0])):
+            with pytest.raises(ShapeMismatch):
+                SparseMatrix.from_coo(2, 2, np.array(rows), np.array(cols), np.ones(1))
+
+    def test_transpose_of_rectangular_with_empty_rows(self):
+        m = SparseMatrix.from_coo(4, 2, np.array([3, 0, 3]), np.array([1, 1, 0]),
+                                  np.array([1.0, 2.0, 3.0]))
+        t = m.transpose()
+        assert (t.n_rows, t.n_cols, t.nnz) == (2, 4, 3)
+        assert np.array_equal(t.to_dense(), m.to_dense().T)
 
 
 class TestSpmv:
@@ -166,6 +192,29 @@ class TestNormalizedAdjacency:
         assert np.all(receiver_row == 0.0)
         assert np.all(np.isfinite(dense))
 
+    @pytest.mark.parametrize("add_self_loops", [True, False])
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_matches_dict_oracle(self, add_self_loops, symmetrize):
+        # few addresses and many transfers: parallel, reciprocal and self edges
+        for seed in range(12):
+            g = build_graph(random_tx_dataset(seed, n_addr=6, n_tx=30))
+            src, dst = g.edges[:, 0], g.edges[:, 1]
+            pairs = set(zip(src.tolist(), dst.tolist()))
+            if seed == 0:
+                assert (g.edge_weights > 1).any()
+                assert any(s == d for s, d in pairs)
+                assert any((d, s) in pairs for s, d in pairs if s != d)
+            got = normalized_adjacency(
+                g, add_self_loops=add_self_loops, symmetrize=symmetrize
+            ).to_dense()
+            want = normalized_adjacency_oracle(g, add_self_loops, symmetrize)
+            # same products in the same order, so equal to the last bit
+            assert np.array_equal(got, want)
+
+    def test_empty_graph(self):
+        m = normalized_adjacency(build_graph(dataset_from([])))
+        assert (m.n_rows, m.n_cols, m.nnz) == (0, 0, 0)
+
     def test_symmetric_when_requested(self):
         for seed in range(5):
             g = build_graph(random_tx_dataset(seed))
@@ -190,6 +239,22 @@ class TestNormalizedAdjacency:
             power_radius = power_iteration_radius(dense)
             assert eig_radius <= 1.0 + 1e-9
             assert power_radius <= eig_radius + 1e-6
+
+
+def test_cli_graph_and_gcn_import_without_scipy():
+    # ingest, synth, stats and importance never build the operator, so
+    # importing the program must not pay for loading scipy.sparse
+    code = (
+        "import sys, phishgraph.cli, phishgraph.graph, phishgraph.gcn; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
 
 
 class TestTrainingInputs:
