@@ -43,8 +43,6 @@ from .features import (
     EXPLICIT_FEATURE_NAMES,
     IMPLICIT_FEATURE_NAMES,
     FeatureMatrix,
-    FeatureSetKind,
-    extract,
     extract_explicit,
     extract_implicit,
     fit_minmax,
@@ -85,7 +83,6 @@ __all__ = [
     "ConfusionMatrix",
     "EXPLICIT_FEATURE_NAMES",
     "FeatureMatrix",
-    "FeatureSetKind",
     "Forest",
     "ForestConfig",
     "GcnConfig",
@@ -112,7 +109,6 @@ __all__ = [
     "clean",
     "confusion",
     "emit_report",
-    "extract",
     "extract_explicit",
     "extract_implicit",
     "feature_importance",

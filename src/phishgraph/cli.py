@@ -70,15 +70,33 @@ _MODEL_ERRORS = (SingleClass, ClassAbsent)
 FEATURE_SETS = ("explicit", "implicit", "both")
 
 
-def _write_manifest(path: Path, payload: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
+def _write_json(path: Path, payload) -> None:
     path.write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
-def _digests(paths: list[str | Path]) -> dict[str, str]:
-    return {str(p): sha256_file(p) for p in paths}
+def _write_manifest(
+    path: Path,
+    subcommand: str,
+    inputs: list[str | Path],
+    config: dict,
+    artifacts: list[str],
+    seeds: dict[str, int] | None = None,
+) -> None:
+    """Record the command, its input digests, config and seeds; commands
+    without randomness leave ``seeds`` out."""
+    manifest = {
+        "subcommand": subcommand,
+        "tool_version": __version__,
+        "inputs": {str(p): sha256_file(p) for p in inputs},
+        "config": config,
+        "artifacts": artifacts,
+    }
+    if seeds is not None:
+        manifest["seeds"] = seeds
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(path, manifest)
 
 
 def _extract(ds, g, feature_set: str):
@@ -91,6 +109,15 @@ def _extract(ds, g, feature_set: str):
     raise InvalidConfig(f"unknown feature set {feature_set!r}")
 
 
+def _load_features(dataset: str | Path, feature_set: str):
+    """(graph, raw feature matrix) of a stored dataset; g.labels are its labels."""
+    ds = load_dataset(dataset)
+    g = build_graph(ds)
+    if g.n_nodes == 0:
+        raise InvalidConfig("dataset contains no transactions")
+    return g, _extract(ds, g, feature_set)
+
+
 # ---------------------------------------------------------------- ingest
 
 
@@ -99,19 +126,18 @@ def _cmd_ingest(args) -> int:
     inputs = list(args.tx) + [args.phishing_list] + (
         [args.verified] if args.verified else []
     )
-    manifest = {
-        "subcommand": "ingest",
-        "tool_version": __version__,
-        "inputs": _digests(inputs),
-        "config": {
+    _write_manifest(
+        Path(str(out) + ".manifest.json"),
+        "ingest",
+        inputs,
+        {
             "require_verified": bool(args.require_verified),
             "tx_files": [str(p) for p in args.tx],
             "phishing_list": str(args.phishing_list),
             "verified": str(args.verified) if args.verified else None,
         },
-        "artifacts": [out.name, out.name + ".clean.json"],
-    }
-    _write_manifest(Path(str(out) + ".manifest.json"), manifest)
+        [out.name, out.name + ".clean.json"],
+    )
 
     transactions = []
     reject_sections = []
@@ -131,14 +157,9 @@ def _cmd_ingest(args) -> int:
     plist = PhishingList.from_files(args.phishing_list, args.verified)
     ds = label_dataset(cleaned, plist, require_verified=args.require_verified)
     save_dataset(ds, out)
-    Path(str(out) + ".clean.json").write_text(
-        json.dumps(
-            {"clean": report.to_json(), "parse": reject_sections},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
+    _write_json(
+        Path(str(out) + ".clean.json"),
+        {"clean": report.to_json(), "parse": reject_sections},
     )
     benign, phishing = ds.class_counts()
     print(
@@ -168,15 +189,14 @@ def _synth_config(args) -> SyntheticConfig:
 def _cmd_synth(args) -> int:
     cfg = _synth_config(args)
     out = Path(args.out)
-    manifest = {
-        "subcommand": "synth",
-        "tool_version": __version__,
-        "inputs": _digests([args.config] if args.config else []),
-        "config": cfg.to_json(),
-        "seeds": {"generator": cfg.seed},
-        "artifacts": [out.name],
-    }
-    _write_manifest(Path(str(out) + ".manifest.json"), manifest)
+    _write_manifest(
+        Path(str(out) + ".manifest.json"),
+        "synth",
+        [args.config] if args.config else [],
+        cfg.to_json(),
+        [out.name],
+        seeds={"generator": cfg.seed},
+    )
     ds = generate_synthetic(cfg)
     save_dataset(ds, out)
     benign, phishing = ds.class_counts()
@@ -191,14 +211,19 @@ def _cmd_synth(args) -> int:
 
 
 def _gcn_config(args) -> GcnConfig:
+    try:
+        hidden_dims = tuple(int(x) for x in args.hidden_dims.split(",") if x)
+    except ValueError:
+        raise InvalidConfig("--hidden-dims expects comma-separated integers") from None
     manual = None
     if args.manual_weights:
-        parts = [float(x) for x in args.manual_weights.split(",")]
-        if len(parts) != 2:
-            raise InvalidConfig("--manual-weights expects 'benign,phishing'")
-        manual = (parts[0], parts[1])
+        try:
+            benign, phishing = (float(x) for x in args.manual_weights.split(","))
+        except ValueError:
+            raise InvalidConfig("--manual-weights expects 'benign,phishing'") from None
+        manual = (benign, phishing)
     cfg = GcnConfig(
-        hidden_dims=tuple(int(x) for x in args.hidden_dims.split(",") if x),
+        hidden_dims=hidden_dims,
         dropout_rate=args.dropout,
         learning_rate=args.lr,
         epochs=args.epochs,
@@ -215,11 +240,11 @@ def _gcn_config(args) -> GcnConfig:
 
 def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict:
     cfg = _gcn_config(args)
-    manifest = {
-        "subcommand": "run",
-        "tool_version": __version__,
-        "inputs": _digests([dataset_path]),
-        "config": {
+    _write_manifest(
+        out_dir / "manifest.json",
+        "run",
+        [dataset_path],
+        {
             "features": feature_set,
             "split_ratio": args.ratio,
             "fit_all": bool(args.fit_all),
@@ -227,25 +252,17 @@ def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict
             "symmetrize": not args.no_symmetrize,
             "gcn": cfg.to_json(),
         },
-        "seeds": {"split": args.split_seed, "train": args.train_seed},
-        "artifacts": ["model.bin", "model.bin.json", "metrics.json", "report.txt"],
-    }
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir / "manifest.json", manifest)
+        ["model.bin", "model.bin.json", "metrics.json", "report.txt"],
+        seeds={"split": args.split_seed, "train": args.train_seed},
+    )
 
-    ds = load_dataset(dataset_path)
-    g = build_graph(ds)
-    if g.n_nodes == 0:
-        raise InvalidConfig("dataset contains no transactions")
-    X = _extract(ds, g, feature_set)
-    labels = np.array([int(ds.labels[a]) for a in g.addresses], dtype=np.int64)
-    split = stratified_split(labels, ratio=args.ratio, seed=args.split_seed)
+    g, X = _load_features(dataset_path, feature_set)
+    split = stratified_split(g.labels, ratio=args.ratio, seed=args.split_seed)
     fit_mask = np.ones(g.n_nodes, dtype=bool) if args.fit_all else split.train_mask
     X_norm = fit_minmax(X, fit_mask)
     batch = to_training_inputs(
         g,
         X_norm,
-        ds,
         split,
         add_self_loops=not args.no_self_loops,
         symmetrize=not args.no_symmetrize,
@@ -283,15 +300,7 @@ def _cmd_compare(args) -> int:
             - results["explicit"]["weighted"]["f1"]
         ),
     }
-    (out_dir / "comparison.json").write_text(
-        json.dumps(
-            {"explicit": results["explicit"], "implicit": results["implicit"], "delta": deltas},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out_dir / "comparison.json", {**results, "delta": deltas})
     print(
         f"implicit - explicit: phishing recall {deltas['phishing_recall']:+.2f}, "
         f"weighted F1 {deltas['weighted_f1']:+.2f}"
@@ -314,20 +323,19 @@ def _cmd_fetch(args) -> int:
             f"no API key: pass --api-key or set {API_KEY_ENV}"
         )
     out = Path(args.out)
-    manifest = {
-        "subcommand": "fetch",
-        "tool_version": __version__,
-        "inputs": {},
-        "config": {
+    _write_manifest(
+        Path(str(out) + ".manifest.json"),
+        "fetch",
+        [],
+        {
             "address": args.address,
             "endpoint": args.endpoint,
             "page_limit": args.page_limit,
             "page_size": args.page_size,
             "requests_per_second": args.rate,
         },
-        "artifacts": [out.name],
-    }
-    _write_manifest(Path(str(out) + ".manifest.json"), manifest)
+        [out.name],
+    )
 
     txs = fetch_address_history(
         Address(args.address),
@@ -353,15 +361,7 @@ def _cmd_fetch(args) -> int:
         }
         for tx in txs
     ]
-    out.write_text(
-        json.dumps(
-            {"status": "1", "message": "OK", "result": entries},
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n",
-        encoding="utf-8",
-    )
+    _write_json(out, {"status": "1", "message": "OK", "result": entries})
     print(f"fetched {len(txs)} transactions for {args.address} -> {out}")
     return 0
 
@@ -379,11 +379,11 @@ def _cmd_importance(args) -> int:
         seed=args.seed,
         balanced=args.balanced,
     )
-    manifest = {
-        "subcommand": "importance",
-        "tool_version": __version__,
-        "inputs": _digests([args.dataset]),
-        "config": {
+    _write_manifest(
+        Path(str(out) + ".manifest.json"),
+        "importance",
+        [args.dataset],
+        {
             "feature_set": args.feature_set,
             "n_trees": cfg.n_trees,
             "max_depth": cfg.max_depth,
@@ -391,18 +391,12 @@ def _cmd_importance(args) -> int:
             "min_leaf": cfg.min_leaf,
             "balanced": cfg.balanced,
         },
-        "seeds": {"forest": cfg.seed},
-        "artifacts": [out.name],
-    }
-    _write_manifest(Path(str(out) + ".manifest.json"), manifest)
+        [out.name],
+        seeds={"forest": cfg.seed},
+    )
 
-    ds = load_dataset(args.dataset)
-    g = build_graph(ds)
-    if g.n_nodes == 0:
-        raise InvalidConfig("dataset contains no transactions")
-    X = _extract(ds, g, args.feature_set)
-    labels = np.array([int(ds.labels[a]) for a in g.addresses], dtype=np.int64)
-    forest = train_forest(X, labels, cfg)
+    g, X = _load_features(args.dataset, args.feature_set)
+    forest = train_forest(X, g.labels, cfg)
     ranking = feature_importance(forest)
     write_importance(ranking, out)
     top_name, top_score = ranking[0]
@@ -415,22 +409,16 @@ def _cmd_importance(args) -> int:
 
 def _cmd_stats(args) -> int:
     out = Path(args.out)
-    manifest = {
-        "subcommand": "stats",
-        "tool_version": __version__,
-        "inputs": _digests([args.dataset]),
-        "config": {"feature_set": args.feature_set},
-        "artifacts": [out.name],
-    }
-    _write_manifest(Path(str(out) + ".manifest.json"), manifest)
+    _write_manifest(
+        Path(str(out) + ".manifest.json"),
+        "stats",
+        [args.dataset],
+        {"feature_set": args.feature_set},
+        [out.name],
+    )
 
-    ds = load_dataset(args.dataset)
-    if not ds.transactions:
-        raise InvalidConfig("dataset contains no transactions")
-    g = build_graph(ds)
-    X = _extract(ds, g, args.feature_set)
-    labels = np.array([int(ds.labels[a]) for a in g.addresses], dtype=np.int64)
-    stats = class_feature_stats(X, labels)
+    g, X = _load_features(args.dataset, args.feature_set)
+    stats = class_feature_stats(X, g.labels)
     stats.to_csv(out)
     print(f"wrote per-class statistics for {X.n_features} features -> {out}")
     return 0

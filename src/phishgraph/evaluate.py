@@ -121,20 +121,6 @@ class MetricsReport:
             },
         }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "MetricsReport":
-        per = payload["per_class"]
-        return cls(
-            accuracy=payload["accuracy"],
-            precision={c: per[c]["precision"] for c in _CLASSES},
-            recall={c: per[c]["recall"] for c in _CLASSES},
-            f1={c: per[c]["f1"] for c in _CLASSES},
-            support={c: per[c]["support"] for c in _CLASSES},
-            weighted_precision=payload["weighted"]["precision"],
-            weighted_recall=payload["weighted"]["recall"],
-            weighted_f1=payload["weighted"]["f1"],
-        )
-
 
 def _safe_div(num: float, den: float) -> float:
     return num / den if den else 0.0
@@ -203,8 +189,6 @@ def emit_report(
     out_dir: str | Path,
     metrics_report: MetricsReport | None = None,
     train_report=None,
-    stats=None,
-    importance: list[tuple[str, float]] | None = None,
 ) -> tuple[Path, Path]:
     """Write metrics.json (machine) and report.txt (human) into out_dir.
 
@@ -218,50 +202,12 @@ def emit_report(
         document["metrics"] = metrics_report.to_dict()
     if train_report is not None:
         document["training"] = train_report.to_dict()
-    if stats is not None:
-        document["class_stats"] = {
-            "features": list(stats.feature_names),
-            "support": dict(stats.support),
-            "classes": {
-                cls: {
-                    "mean": [float(v) for v in stats.mean[cls]],
-                    "max": [float(v) for v in stats.max[cls]],
-                    "std": [float(v) for v in stats.std[cls]],
-                }
-                for cls in _CLASSES
-                if stats.present(cls)
-            },
-        }
-    if importance is not None:
-        document["importance"] = [
-            {"feature": name, "score": score, "rank": i + 1}
-            for i, (name, score) in enumerate(importance)
-        ]
 
     json_path = out_dir / "metrics.json"
     text_path = out_dir / "report.txt"
     json_path.write_text(
         json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-
-    sections = []
-    if metrics_report is not None:
-        sections.append(format_metrics_table(metrics_report))
-    if importance is not None:
-        lines = ["Feature importance (descending):"]
-        for i, (name, score) in enumerate(importance, start=1):
-            lines.append(f"{i:>3}. {name:<20} {score:.4f}")
-        sections.append("\n".join(lines) + "\n")
-    if stats is not None:
-        lines = ["Per-class feature statistics (mean):"]
-        for i, name in enumerate(stats.feature_names):
-            cells = [f"{name:<20}"]
-            for cls in _CLASSES:
-                if stats.present(cls):
-                    cells.append(f"{cls} {stats.mean[cls][i]:.4g}")
-                else:
-                    cells.append(f"{cls} absent")
-            lines.append("  ".join(cells))
-        sections.append("\n".join(lines) + "\n")
-    text_path.write_text("\n".join(sections), encoding="utf-8")
+    text = format_metrics_table(metrics_report) if metrics_report is not None else ""
+    text_path.write_text(text, encoding="utf-8")
     return json_path, text_path

@@ -17,22 +17,13 @@ round-half-even rounding at the conversion.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from enum import Enum
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyMask, ShapeMismatch, StorageError
+from .errors import EmptyMask, ShapeMismatch
 from .graph import TxGraph
-from .txmodel import Address, LabeledDataset
-
-
-class FeatureSetKind(Enum):
-    EXPLICIT = "explicit"
-    IMPLICIT = "implicit"
+from .txmodel import LabeledDataset
 
 EXPLICIT_FEATURE_NAMES = (
     "mean_timestamp",
@@ -60,9 +51,6 @@ IMPLICIT_FEATURE_NAMES = (
     "wd_tx_ratio_sent",
     "wd_tx_ratio_recd",
 )
-
-FEATURE_BINARY_MAGIC = b"PHGF"
-FEATURE_BINARY_VERSION = 1
 
 # Unix day 0 was a Thursday; weekday 0 = Monday, so Saturday/Sunday are 5/6.
 _EPOCH_WEEKDAY_OFFSET = 3
@@ -184,12 +172,6 @@ def extract_implicit(ds: LabeledDataset, g: TxGraph) -> FeatureMatrix:
     return FeatureMatrix(IMPLICIT_FEATURE_NAMES, rows)
 
 
-def extract(ds: LabeledDataset, g: TxGraph, kind: FeatureSetKind) -> FeatureMatrix:
-    if kind is FeatureSetKind.EXPLICIT:
-        return extract_explicit(ds, g)
-    return extract_implicit(ds, g)
-
-
 def concat_features(a: FeatureMatrix, b: FeatureMatrix) -> FeatureMatrix:
     if a.rows.shape[0] != b.rows.shape[0]:
         raise ShapeMismatch("feature matrices cover different node counts")
@@ -226,71 +208,3 @@ def denormalize(X: FeatureMatrix) -> np.ndarray:
     mins, maxs = X.scaler
     return X.rows * (maxs - mins) + mins
 
-
-def to_csv(X: FeatureMatrix, addresses: Sequence[Address], path: str | Path) -> None:
-    if len(addresses) != X.rows.shape[0]:
-        raise ShapeMismatch("address list length != row count")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("address," + ",".join(X.names) + "\n")
-        for addr, row in zip(addresses, X.rows):
-            fh.write(str(addr) + "," + ",".join(repr(float(v)) for v in row) + "\n")
-
-
-def save_binary(X: FeatureMatrix, path: str | Path) -> None:
-    """Compact binary form: versioned magic, names, scaler, row-major f64."""
-    parts = [
-        struct.pack(
-            "<4sHQH",
-            FEATURE_BINARY_MAGIC,
-            FEATURE_BINARY_VERSION,
-            X.rows.shape[0],
-            X.n_features,
-        )
-    ]
-    for name in X.names:
-        encoded = name.encode("utf-8")
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-    if X.scaler is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(np.ascontiguousarray(X.scaler[0]).tobytes())
-        parts.append(np.ascontiguousarray(X.scaler[1]).tobytes())
-    parts.append(np.ascontiguousarray(X.rows).tobytes())
-    Path(path).write_bytes(b"".join(parts))
-
-
-def load_binary(path: str | Path) -> FeatureMatrix:
-    blob = Path(path).read_bytes()
-    head = struct.Struct("<4sHQH")
-    if len(blob) < head.size:
-        raise StorageError(f"feature file too short: {path}")
-    magic, version, n_rows, n_features = head.unpack_from(blob, 0)
-    if magic != FEATURE_BINARY_MAGIC:
-        raise StorageError(f"not a feature file (bad magic): {path}")
-    if version != FEATURE_BINARY_VERSION:
-        raise StorageError(f"unsupported feature file version {version}: {path}")
-    offset = head.size
-    names = []
-    for _ in range(n_features):
-        (length,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        names.append(blob[offset : offset + length].decode("utf-8"))
-        offset += length
-    (has_scaler,) = struct.unpack_from("<B", blob, offset)
-    offset += 1
-    scaler = None
-    if has_scaler:
-        mins = np.frombuffer(blob, dtype=np.float64, count=n_features, offset=offset)
-        offset += 8 * n_features
-        maxs = np.frombuffer(blob, dtype=np.float64, count=n_features, offset=offset)
-        offset += 8 * n_features
-        scaler = (mins.copy(), maxs.copy())
-    expected = offset + 8 * n_rows * n_features
-    if len(blob) != expected:
-        raise StorageError(f"feature file truncated or padded: {path}")
-    rows = np.frombuffer(
-        blob, dtype=np.float64, count=n_rows * n_features, offset=offset
-    ).reshape(n_rows, n_features)
-    return FeatureMatrix(tuple(names), rows.copy(), scaler=scaler)

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassAbsent, InvalidConfig, ShapeMismatch, StorageError
+from .errors import ClassAbsent, InvalidConfig, ShapeMismatch
 from .evaluate import MetricsReport, confusion, metrics
 from .graph import GraphBatch, SparseMatrix, spmv
 
@@ -95,17 +95,6 @@ class GcnConfig:
             "use_bias": self.use_bias,
         }
 
-    @classmethod
-    def from_json(cls, payload: dict) -> "GcnConfig":
-        kwargs = dict(payload)
-        if "hidden_dims" in kwargs:
-            kwargs["hidden_dims"] = tuple(kwargs["hidden_dims"])
-        if kwargs.get("manual_weights") is not None:
-            kwargs["manual_weights"] = tuple(kwargs["manual_weights"])
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
-
 
 @dataclass
 class GcnModel:
@@ -126,12 +115,6 @@ class GcnModel:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
-
-    def copy(self) -> "GcnModel":
-        return GcnModel(
-            [w.copy() for w in self.weights],
-            None if self.biases is None else [b.copy() for b in self.biases],
-        )
 
 
 def init_model(
@@ -488,42 +471,3 @@ def save_model(
         json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
-
-def load_model(path: str | Path) -> tuple[GcnModel, dict]:
-    blob = Path(path).read_bytes()
-    head = struct.Struct("<4sHHB")
-    if len(blob) < head.size:
-        raise StorageError(f"model file too short: {path}")
-    magic, version, n_layers, has_bias = head.unpack_from(blob, 0)
-    if magic != MODEL_MAGIC:
-        raise StorageError(f"not a model file (bad magic): {path}")
-    if version != MODEL_VERSION:
-        raise StorageError(f"unsupported model version {version}: {path}")
-    offset = head.size
-    dims = []
-    for _ in range(n_layers + 1):
-        (d,) = struct.unpack_from("<I", blob, offset)
-        dims.append(d)
-        offset += 4
-    weights = []
-    for fan_in, fan_out in zip(dims, dims[1:]):
-        count = fan_in * fan_out
-        w = np.frombuffer(blob, dtype=np.float64, count=count, offset=offset)
-        weights.append(w.reshape(fan_in, fan_out).copy())
-        offset += 8 * count
-    biases = None
-    if has_bias:
-        biases = []
-        for fan_out in dims[1:]:
-            b = np.frombuffer(blob, dtype=np.float64, count=fan_out, offset=offset)
-            biases.append(b.copy())
-            offset += 8 * fan_out
-    if offset != len(blob):
-        raise StorageError(f"model file truncated or padded: {path}")
-    sidecar_path = Path(str(path) + ".json")
-    sidecar = (
-        json.loads(sidecar_path.read_text(encoding="utf-8"))
-        if sidecar_path.exists()
-        else {}
-    )
-    return GcnModel(weights, biases), sidecar

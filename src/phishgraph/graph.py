@@ -29,9 +29,12 @@ class TxGraph:
     edges: np.ndarray          # (m, 2) int array of (src_id, dst_id)
     edge_weights: np.ndarray   # (m,) parallel-transaction counts
     node_index: dict[Address, int]
+    labels: np.ndarray         # (n,) int64 label codes in node order
 
     def __post_init__(self):
         n = len(self.addresses)
+        if self.labels.shape != (n,):
+            raise ShapeMismatch("label vector length != node count")
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
             raise ShapeMismatch("edge endpoint out of range")
         pairs = {(int(s), int(d)) for s, d in self.edges}
@@ -47,7 +50,8 @@ class TxGraph:
 
 def build_graph(ds: LabeledDataset) -> TxGraph:
     """One node per distinct endpoint (first-appearance order), one edge per
-    distinct (sender, receiver) pair with the collapsed transaction count."""
+    distinct (sender, receiver) pair with the collapsed transaction count, and
+    each node's label code."""
     node_index: dict[Address, int] = {}
     addresses: list[Address] = []
     counts: dict[tuple[int, int], int] = {}
@@ -64,7 +68,8 @@ def build_graph(ds: LabeledDataset) -> TxGraph:
     else:
         edges = np.empty((0, 2), dtype=np.int64)
         weights = np.empty((0,), dtype=np.int64)
-    return TxGraph(tuple(addresses), edges, weights, node_index)
+    labels = np.array([int(ds.labels[a]) for a in addresses], dtype=np.int64)
+    return TxGraph(tuple(addresses), edges, weights, node_index, labels)
 
 
 class SparseMatrix:
@@ -222,7 +227,6 @@ class GraphBatch:
 def to_training_inputs(
     g: TxGraph,
     X: "FeatureMatrix",
-    ds: LabeledDataset,
     split: "SplitMasks",
     add_self_loops: bool = True,
     symmetrize: bool = True,
@@ -232,14 +236,11 @@ def to_training_inputs(
         raise ShapeMismatch(
             f"feature rows ({X.rows.shape[0]}) != node count ({g.n_nodes})"
         )
-    labels = np.array(
-        [int(ds.labels[addr]) for addr in g.addresses], dtype=np.int64
-    )
     adj = normalized_adjacency(g, add_self_loops=add_self_loops, symmetrize=symmetrize)
     return GraphBatch(
         features=X,
         norm_adj=adj,
-        labels=labels,
+        labels=g.labels,
         train_mask=np.asarray(split.train_mask, dtype=bool),
         test_mask=np.asarray(split.test_mask, dtype=bool),
     )

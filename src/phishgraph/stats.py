@@ -127,19 +127,6 @@ class DecisionTree:
     weight: np.ndarray        # (n_nodes,) total sample weight at the node
     max_depth: int
 
-    def predict_one(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        counts = self.class_counts[node]
-        return int(np.argmax(counts))
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return np.array([self.predict_one(row) for row in X], dtype=np.int64)
-
 
 @dataclass
 class Forest:
@@ -152,14 +139,6 @@ class Forest:
     @property
     def n_trees(self) -> int:
         return len(self.trees)
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Majority vote over trees; exact ties resolve to the benign class."""
-        votes = np.zeros((X.shape[0], 2), dtype=np.int64)
-        for tree in self.trees:
-            pred = tree.predict(X)
-            votes[np.arange(X.shape[0]), pred] += 1
-        return np.argmax(votes, axis=1)
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -384,15 +363,12 @@ def feature_importance(forest: Forest) -> list[tuple[str, float]]:
     return [(name, float(score)) for name, score in ranked]
 
 
-def importance_json(ranking: list[tuple[str, float]]) -> list[dict]:
-    return [
+def write_importance(ranking: list[tuple[str, float]], path: str | Path) -> None:
+    """JSON list of {feature, score, rank}, rank 1 first."""
+    entries = [
         {"feature": name, "score": score, "rank": i + 1}
         for i, (name, score) in enumerate(ranking)
     ]
-
-
-def write_importance(ranking: list[tuple[str, float]], path: str | Path) -> None:
     Path(path).write_text(
-        json.dumps(importance_json(ranking), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

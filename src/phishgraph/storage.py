@@ -100,13 +100,21 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         offset += _ADDR_ROW.size
         addr = Address("0x" + raw.hex())
         addresses.append(addr)
-        labels[addr] = Label(label_code)
-        provenance[addr] = LabelProvenance(prov_code)
+        try:
+            labels[addr] = Label(label_code)
+            provenance[addr] = LabelProvenance(prov_code)
+        except ValueError as exc:
+            raise StorageError(f"{exc} for address {addr}: {path}") from None
 
     transactions = []
     for _ in range(n_tx):
         block, ts, hash_raw, s_idx, r_idx = _TX_HEAD.unpack_from(blob, offset)
         offset += _TX_HEAD.size
+        if s_idx >= n_addr or r_idx >= n_addr:
+            raise StorageError(
+                f"transaction endpoint index out of range ({s_idx}, {r_idx}) "
+                f"for {n_addr} addresses: {path}"
+            )
         value = int.from_bytes(blob[offset : offset + 32], "big")
         offset += 32
         gas, gas_price, gas_used = _TX_TAIL.unpack_from(blob, offset)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction
 
@@ -186,10 +186,3 @@ class LabeledDataset:
         phishing = sum(1 for lbl in self.labels.values() if lbl is Label.PHISHING)
         return len(self.labels) - phishing, phishing
 
-
-def make_dataset(
-    transactions: Iterable[Transaction],
-    labels: Mapping[Address, Label],
-    provenance: Mapping[Address, LabelProvenance],
-) -> LabeledDataset:
-    return LabeledDataset(tuple(transactions), dict(labels), dict(provenance))

@@ -2,11 +2,15 @@
 
 The oracles here are deliberately independent routes: dense matrix algebra
 for the sparse forward pass, central finite differences for the analytic
-gradients, per-entry dictionaries for the normalized adjacency, and plain
-pairwise counting for the metrics. They never call the code paths they are
+gradients, per-entry dictionaries for the normalized adjacency, plain
+pairwise counting for the metrics, a struct-level reader for model.bin and a
+node-by-node walk for forest votes. They never call the code paths they are
 used to check.
 """
 from __future__ import annotations
+
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -182,6 +186,44 @@ def finite_difference_check(adj, X, y, model, weights_pair, dropout=0.0, seed=0,
             assert err <= abs_floor or err / max(abs(numeric), abs(G[idx])) <= rel_tol, (
                 f"gradient mismatch at {idx}: analytic {G[idx]}, numeric {numeric}"
             )
+
+
+def read_model_bin(path):
+    """(dims, weights, biases) of a model.bin, read straight from its layout:
+    a <4sHHB header (magic, version, layer count, bias flag), one <I per dim,
+    then every layer's f64 weights row-major, then every layer's f64 biases
+    (None when the flag is 0). The whole file must be consumed."""
+    blob = Path(path).read_bytes()
+    magic, version, n_layers, has_bias = struct.unpack_from("<4sHHB", blob, 0)
+    assert (magic, version) == (b"PHGM", 1)
+    offset = struct.calcsize("<4sHHB")
+    dims = struct.unpack_from(f"<{n_layers + 1}I", blob, offset)
+    offset += 4 * (n_layers + 1)
+
+    def take(count):
+        nonlocal offset
+        values = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
+        offset += 8 * count
+        return values
+
+    weights = [take(i * o).reshape(i, o) for i, o in zip(dims, dims[1:])]
+    biases = [take(o) for o in dims[1:]] if has_bias else None
+    assert offset == len(blob), "trailing bytes after the last array"
+    return tuple(dims), weights, biases
+
+
+def forest_vote(forest, rows: np.ndarray) -> np.ndarray:
+    """Majority class over the trees, each walked node by node from the root;
+    a tied vote goes to benign."""
+    votes = np.zeros((len(rows), 2), dtype=np.int64)
+    for tree in forest.trees:
+        for i, x in enumerate(rows):
+            node = 0
+            while tree.feature[node] >= 0:
+                go_left = x[tree.feature[node]] <= tree.threshold[node]
+                node = tree.left[node] if go_left else tree.right[node]
+            votes[i, int(np.argmax(tree.class_counts[node]))] += 1
+    return np.argmax(votes, axis=1)
 
 
 def brute_force_metrics(pred, truth) -> dict:

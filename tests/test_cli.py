@@ -1,10 +1,12 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phishgraph.cli import main
+from phishgraph.features import EXPLICIT_FEATURE_NAMES, IMPLICIT_FEATURE_NAMES
 from phishgraph.storage import load_dataset, save_dataset, sha256_file
 from phishgraph.txmodel import Label
 
@@ -50,6 +52,22 @@ def small_synth_args(out, seed=3, benign=30, phishing=8):
 
 
 RUN_SPEED_FLAGS = ["--epochs", "30", "--hidden-dims", "16,8"]
+
+# (offset, struct format, value) of one planted field in the file of a
+# one-transaction, two-address dataset: an 18-byte header, 22-byte address
+# rows (20-byte address, label byte, provenance byte), then the transaction
+# with its sender and receiver indices 48 and 52 bytes in
+PLANTED_FIELDS = {
+    "label": (18 + 20, "<B", 9),
+    "provenance": (18 + 21, "<B", 9),
+    "sender_index": (18 + 2 * 22 + 48, "<I", 2),
+    "receiver_index": (18 + 2 * 22 + 52, "<I", 7),
+}
+
+
+def assert_clean_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestIngest:
@@ -220,6 +238,32 @@ class TestRun:
                      "--out-dir", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize("field", sorted(PLANTED_FIELDS))
+    def test_out_of_range_dataset_field_exits_2(self, field, tmp_path, capsys):
+        path = tmp_path / "planted.bin"
+        save_dataset(dataset_from([make_tx(1, addr(1), addr(2))]), path)
+        blob = bytearray(path.read_bytes())
+        offset, fmt, value = PLANTED_FIELDS[field]
+        struct.pack_into(fmt, blob, offset, value)
+        path.write_bytes(bytes(blob))
+        code = main(["stats", "--dataset", str(path), "--out", str(tmp_path / "s.csv")])
+        assert code == 2
+        assert_clean_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--hidden-dims", "a,b"],
+            ["--weight-mode", "manual", "--manual-weights", "x,1"],
+            ["--weight-mode", "manual", "--manual-weights", "1,2,3"],
+        ],
+    )
+    def test_malformed_gcn_flag_exits_2(self, flags, dataset, tmp_path, capsys):
+        code = main(["run", "--dataset", str(dataset), "--features", "implicit",
+                     "--out-dir", str(tmp_path / "x"), *flags])
+        assert code == 2
+        assert_clean_error(capsys)
+
 
 class TestCompare:
     def test_compare_emits_both_runs_and_delta(self, tmp_path):
@@ -367,6 +411,22 @@ class TestStats:
             line for line in out.read_text().splitlines() if ",phishing," in line
         ]
         assert phishing_rows and all(r.endswith(",0,,,") for r in phishing_rows)
+
+    @pytest.mark.parametrize("feature_set", ["explicit", "implicit", "both"])
+    def test_feature_set_dispatch_order(self, feature_set, tmp_path):
+        names = {
+            "explicit": EXPLICIT_FEATURE_NAMES,
+            "implicit": IMPLICIT_FEATURE_NAMES,
+            "both": EXPLICIT_FEATURE_NAMES + IMPLICIT_FEATURE_NAMES,
+        }[feature_set]
+        ds_path = tmp_path / "ds.bin"
+        save_dataset(dataset_from([make_tx(1, addr(1), addr(2))], phishing=[addr(2)]), ds_path)
+        out = tmp_path / "stats.csv"
+        assert main(["stats", "--dataset", str(ds_path), "--feature-set", feature_set,
+                     "--out", str(out)]) == 0
+        features = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+        # one benign row, then one phishing row, per feature
+        assert tuple(features[::2]) == tuple(features[1::2]) == names
 
     def test_empty_dataset_exits_2(self, tmp_path):
         empty = tmp_path / "empty.bin"

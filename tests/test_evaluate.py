@@ -7,7 +7,6 @@ import pytest
 from phishgraph.errors import ShapeMismatch
 from phishgraph.evaluate import (
     ConfusionMatrix,
-    MetricsReport,
     confusion,
     emit_report,
     format_metrics_table,
@@ -175,7 +174,7 @@ class TestReports:
         report = self.sample_report()
         json_path, _ = emit_report(tmp_path, metrics_report=report)
         parsed = json.loads(json_path.read_text())
-        assert MetricsReport.from_dict(parsed["metrics"]) == report
+        assert parsed["metrics"] == report.to_dict()
 
     def test_validates_against_shipped_schema(self, tmp_path):
         report = self.sample_report()
@@ -187,19 +186,6 @@ class TestReports:
         doc = json.loads(json_path.read_text())
         assert set(doc) == {"metrics"}
         assert "Feature importance" not in text_path.read_text()
-
-    def test_importance_section_included(self, tmp_path):
-        json_path, text_path = emit_report(
-            tmp_path,
-            metrics_report=self.sample_report(),
-            importance=[("total_val_sent", 0.7), ("avg_gas_sent", 0.3)],
-        )
-        doc = json.loads(json_path.read_text())
-        assert doc["importance"][0] == {
-            "feature": "total_val_sent", "score": 0.7, "rank": 1,
-        }
-        assert "total_val_sent" in text_path.read_text()
-        jsonschema.validate(doc, load_schema())
 
     def test_text_table_layout_two_decimals(self):
         table = format_metrics_table(self.sample_report())

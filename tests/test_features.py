@@ -9,16 +9,11 @@ from phishgraph.features import (
     EXPLICIT_FEATURE_NAMES,
     IMPLICIT_FEATURE_NAMES,
     FeatureMatrix,
-    FeatureSetKind,
     concat_features,
-    extract,
     denormalize,
     extract_explicit,
     extract_implicit,
     fit_minmax,
-    load_binary,
-    save_binary,
-    to_csv,
 )
 from phishgraph.graph import build_graph
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
@@ -152,12 +147,6 @@ class TestExplicit:
         g = build_graph(ds)
         X = extract_explicit(ds, g)
         assert X.rows[0, 1] == 10.0
-
-    def test_kind_dispatch(self):
-        ds = dataset_from([make_tx(1, addr(1), addr(2))])
-        g = build_graph(ds)
-        assert extract(ds, g, FeatureSetKind.EXPLICIT).names == EXPLICIT_FEATURE_NAMES
-        assert extract(ds, g, FeatureSetKind.IMPLICIT).names == IMPLICIT_FEATURE_NAMES
 
 
 class TestImplicit:
@@ -309,32 +298,6 @@ class TestMinMax:
 
 
 class TestSerialization:
-    def build(self):
-        rng = np.random.default_rng(8)
-        X = FeatureMatrix(
-            tuple(f"f{i}" for i in range(3)), rng.normal(size=(6, 3))
-        )
-        return fit_minmax(X, np.ones(6, dtype=bool))
-
-    def test_binary_round_trip(self, tmp_path):
-        X = self.build()
-        path = tmp_path / "features.bin"
-        save_binary(X, path)
-        loaded = load_binary(path)
-        assert loaded.names == X.names
-        assert np.array_equal(loaded.rows, X.rows)
-        assert np.array_equal(loaded.scaler[0], X.scaler[0])
-        assert np.array_equal(loaded.scaler[1], X.scaler[1])
-
-    def test_csv_header_and_rows(self, tmp_path):
-        X = FeatureMatrix(("a", "b"), np.array([[1.0, 2.0], [3.0, 4.0]]))
-        path = tmp_path / "features.csv"
-        to_csv(X, [addr(1), addr(2)], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "address,a,b"
-        assert lines[1].startswith(str(addr(1)) + ",")
-        assert [float(v) for v in lines[2].split(",")[1:]] == [3.0, 4.0]
-
     def test_concat(self):
         a = FeatureMatrix(("x",), np.ones((2, 1)))
         b = FeatureMatrix(("y",), np.zeros((2, 1)))

