@@ -7,7 +7,7 @@ All randomness funnels through named seeds recorded in the manifest, so a
 rerun with identical inputs produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3 runtime
-model failure (e.g. a single-class training split).
+model failure (e.g. a single-class training split or a diverged training loss).
 """
 from __future__ import annotations
 
@@ -36,6 +36,7 @@ from .errors import (
     ShapeMismatch,
     SingleClass,
     StorageError,
+    TrainingDiverged,
 )
 from .evaluate import emit_report, stratified_split
 from .features import (
@@ -65,7 +66,7 @@ _USAGE_ERRORS = (
     ShapeMismatch,
     ApiError,
 )
-_MODEL_ERRORS = (SingleClass, ClassAbsent)
+_MODEL_ERRORS = (SingleClass, ClassAbsent, TrainingDiverged)
 
 FEATURE_SETS = ("explicit", "implicit", "both")
 

@@ -70,5 +70,9 @@ class SingleClass(ClassAbsent):
     """Training requires at least two classes in the labels."""
 
 
+class TrainingDiverged(PipelineError):
+    """Training produced a non-finite loss."""
+
+
 class StorageError(PipelineError):
     """A binary artifact has the wrong magic, version, or is truncated."""

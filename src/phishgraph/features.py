@@ -12,8 +12,10 @@ activity span, and weekend ratios. Hours and weekdays are computed in UTC;
 weekend means Saturday or Sunday. Any "no data" case (no sent transactions,
 fewer than two for gap statistics) yields 0.0 so the matrix stays dense.
 
-Wei totals are summed as exact integers and converted to float64 once, with
-round-half-even rounding at the conversion.
+Both sets reduce the dataset's columnar table over runs of transactions
+grouped by node, with one stable sort per grouping (incident, sent,
+received). Sums of u64 fields and wei values are exact integers converted
+to float64 once, with round-half-even rounding at the conversion.
 """
 from __future__ import annotations
 
@@ -56,11 +58,15 @@ IMPLICIT_FEATURE_NAMES = (
 _EPOCH_WEEKDAY_OFFSET = 3
 
 
-def hour_of_day(timestamp: int) -> int:
+_NO_TIME = np.iinfo(np.uint64).max  # the earliest time of a run without transactions
+
+
+def hour_of_day(timestamp):
+    """UTC hour of a Unix time; also elementwise over a uint64 array."""
     return (timestamp % 86_400) // 3_600
 
 
-def is_weekend(timestamp: int) -> bool:
+def is_weekend(timestamp):
     return (timestamp // 86_400 + _EPOCH_WEEKDAY_OFFSET) % 7 >= 5
 
 
@@ -84,91 +90,94 @@ class FeatureMatrix:
         return len(self.names)
 
 
-def _incident_transactions(
-    ds: LabeledDataset, g: TxGraph
-) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Per-node transaction index lists: (incident, sent, received).
+def _endpoint_nodes(ds: LabeledDataset, g: TxGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Graph node id of every transaction's sender and of its receiver."""
+    node_of = np.array([g.node_index.get(a, -1) for a in ds.row_addresses], dtype=np.int64)
+    src, dst = node_of[ds.records["sender"]], node_of[ds.records["receiver"]]
+    if src.size and min(src.min(), dst.min()) < 0:
+        raise ShapeMismatch("a transaction endpoint is not a node of the graph")
+    return src, dst
 
-    A self-transfer appears once in the incident list but counts as both a
-    sent and a received transaction.
+
+def _runs(ufunc, values: np.ndarray, counts: np.ndarray, empty=0) -> np.ndarray:
+    """``ufunc`` reduced over consecutive runs of ``values`` of the given
+    lengths; ``empty`` where a run has length 0."""
+    out = np.full((len(counts),) + values.shape[1:], empty, dtype=values.dtype)
+    nonempty = counts > 0
+    if len(values):
+        starts = np.cumsum(counts) - counts
+        out[nonempty] = ufunc.reduceat(values, starts[nonempty], axis=0)
+    return out
+
+
+def _exact_totals(column: np.ndarray, order: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """float(exact integer sum) of ``column[order]`` over each run.
+
+    The u64 or 256-bit values are split into 32-bit limbs, which sum without
+    overflow in uint64 for runs shorter than 2**32; each run's limb sums are
+    then recombined once as Python ints, so the float rounds exactly once.
     """
-    n = g.n_nodes
-    incident: list[list[int]] = [[] for _ in range(n)]
-    sent: list[list[int]] = [[] for _ in range(n)]
-    received: list[list[int]] = [[] for _ in range(n)]
-    for ti, tx in enumerate(ds.transactions):
-        s = g.node_index[tx.sender]
-        r = g.node_index[tx.receiver]
-        incident[s].append(ti)
-        if r != s:
-            incident[r].append(ti)
-        sent[s].append(ti)
-        received[r].append(ti)
-    return incident, sent, received
+    values = column[order].astype(np.uint64)
+    if values.ndim == 1:
+        values = np.stack((values >> np.uint64(32), values & np.uint64(0xFFFFFFFF)), axis=1)
+    total = np.zeros(len(counts), dtype=object)
+    for limb in _runs(np.add, values, counts).T:  # most significant first
+        total = (total << 32) + limb.astype(object)
+    return total.astype(np.float64)
+
+
+def _mean(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """total / counts, and 0.0 where counts is 0."""
+    return np.divide(total, counts, out=np.zeros(len(counts)), where=counts > 0)
 
 
 def extract_explicit(ds: LabeledDataset, g: TxGraph) -> FeatureMatrix:
     """Means of the raw transaction fields over each node's incident set."""
-    incident, _, _ = _incident_transactions(ds, g)
-    txs = ds.transactions
-    rows = np.zeros((g.n_nodes, len(EXPLICIT_FEATURE_NAMES)))
-    for node, tx_ids in enumerate(incident):
-        n = len(tx_ids)
-        rows[node, 0] = float(sum(txs[t].timestamp for t in tx_ids)) / n
-        rows[node, 1] = float(sum(txs[t].value for t in tx_ids)) / n
-        rows[node, 2] = float(sum(txs[t].gas for t in tx_ids)) / n
-        rows[node, 3] = float(sum(txs[t].gas_price for t in tx_ids)) / n
-        rows[node, 4] = float(sum(txs[t].gas_used for t in tx_ids)) / n
-    return FeatureMatrix(EXPLICIT_FEATURE_NAMES, rows)
-
-
-def _gap_stats(timestamps: list[int]) -> tuple[float, float, float]:
-    if len(timestamps) < 2:
-        return 0.0, 0.0, 0.0
-    diffs = np.diff(np.sort(np.asarray(timestamps, dtype=np.int64)))
-    return float(diffs.mean()), float(diffs.min()), float(diffs.max())
-
-
-def _hour_stats(hours: list[int]) -> tuple[float, float]:
-    if not hours:
-        return 0.0, 0.0
-    arr = np.asarray(hours, dtype=np.float64)
-    mean = float(arr.mean())
-    std = float(arr.std()) if len(arr) >= 2 else 0.0
-    return mean, std
+    src, dst = _endpoint_nodes(ds, g)
+    # a self-transfer joins its node's incident set once
+    other = np.flatnonzero(dst != src)
+    node = np.concatenate((src, dst[other]))
+    order = np.concatenate((np.arange(len(src)), other))[np.argsort(node, kind="stable")]
+    counts = np.bincount(node, minlength=g.n_nodes)
+    rows = [
+        _mean(_exact_totals(ds.records[name], order, counts), counts)
+        for name in ("timestamp", "value", "gas", "gas_price", "gas_used")
+    ]
+    return FeatureMatrix(EXPLICIT_FEATURE_NAMES, np.column_stack(rows))
 
 
 def extract_implicit(ds: LabeledDataset, g: TxGraph) -> FeatureMatrix:
     """The sixteen behavioral statistics per address (see module docstring)."""
-    _, sent, received = _incident_transactions(ds, g)
-    txs = ds.transactions
-    rows = np.zeros((g.n_nodes, len(IMPLICIT_FEATURE_NAMES)))
-    for node in range(g.n_nodes):
-        s_ids, r_ids = sent[node], received[node]
-        s_ts = [txs[t].timestamp for t in s_ids]
-        r_ts = [txs[t].timestamp for t in r_ids]
-
-        rows[node, 0] = len(s_ids)
-        rows[node, 1] = len(r_ids)
-        rows[node, 2] = float(sum(txs[t].value for t in s_ids))
-        rows[node, 3] = float(sum(txs[t].value for t in r_ids))
-        rows[node, 4] = (
-            float(sum(txs[t].gas_used for t in s_ids)) / len(s_ids) if s_ids else 0.0
-        )
-        rows[node, 5] = (
-            float(sum(txs[t].gas_used for t in r_ids)) / len(r_ids) if r_ids else 0.0
-        )
-        rows[node, 6], rows[node, 8] = _hour_stats([hour_of_day(t) for t in s_ts])
-        rows[node, 7], rows[node, 9] = _hour_stats([hour_of_day(t) for t in r_ts])
-        rows[node, 10], rows[node, 11], rows[node, 12] = _gap_stats(s_ts)
-        all_ts = s_ts + r_ts
-        rows[node, 13] = float(max(all_ts) - min(all_ts)) if all_ts else 0.0
-        rows[node, 14] = (
-            sum(1 for t in s_ts if is_weekend(t)) / len(s_ts) if s_ts else 0.0
-        )
-        rows[node, 15] = (
-            sum(1 for t in r_ts if is_weekend(t)) / len(r_ts) if r_ts else 0.0
-        )
+    n = g.n_nodes
+    records = ds.records
+    ts = records["timestamp"]
+    hour = hour_of_day(ts).astype(np.int64)
+    weekend = is_weekend(ts).astype(np.int64)
+    rows = np.zeros((n, len(IMPLICIT_FEATURE_NAMES)))
+    first, last = np.full(n, _NO_TIME, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+    # column k + side: side 0 holds the sent statistic, side 1 the received one
+    for side, node in enumerate(_endpoint_nodes(ds, g)):
+        order = np.lexsort((ts, node))  # by node, then by time
+        counts = np.bincount(node, minlength=n)
+        h, times = hour[order], ts[order]
+        h_sum, h_sq_sum = _runs(np.add, h, counts), _runs(np.add, h * h, counts)
+        rows[:, 0 + side] = counts
+        rows[:, 2 + side] = _exact_totals(records["value"], order, counts)
+        rows[:, 4 + side] = _mean(_exact_totals(records["gas_used"], order, counts), counts)
+        rows[:, 6 + side] = _mean(h_sum, counts)
+        # population variance from exact integers: (n*sum(h^2) - sum(h)^2) / n^2
+        rows[:, 8 + side] = np.sqrt(_mean(counts * h_sq_sum - h_sum * h_sum, counts**2))
+        rows[:, 14 + side] = _mean(_runs(np.add, weekend[order], counts), counts)
+        first = np.minimum(first, _runs(np.minimum, times, counts, empty=_NO_TIME))
+        last = np.maximum(last, _runs(np.maximum, times, counts))
+        if side == 0:
+            within = node[order][1:] == node[order][:-1]
+            gaps = (times[1:] - times[:-1])[within]
+            gap_counts = np.maximum(counts - 1, 0)
+            rows[:, 10] = _mean(_runs(np.add, gaps, gap_counts), gap_counts)
+            rows[:, 11] = _runs(np.minimum, gaps, gap_counts)
+            rows[:, 12] = _runs(np.maximum, gaps, gap_counts)
+    rows[:, 13] = np.where(first <= last, last - first, 0)
     return FeatureMatrix(IMPLICIT_FEATURE_NAMES, rows)
 
 

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassAbsent, InvalidConfig, ShapeMismatch
+from .errors import ClassAbsent, InvalidConfig, ShapeMismatch, TrainingDiverged
 from .evaluate import MetricsReport, confusion, metrics
 from .graph import GraphBatch, SparseMatrix, spmv
 
@@ -61,8 +61,8 @@ class GcnConfig:
             raise InvalidConfig("hidden_dims must be a non-empty list of widths")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidConfig("dropout_rate must lie in [0, 1)")
-        if self.learning_rate <= 0:
-            raise InvalidConfig("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise InvalidConfig("learning_rate must be positive and finite")
         if self.epochs < 1:
             raise InvalidConfig("epochs must be at least 1")
         if self.weight_mode not in WEIGHT_MODES:
@@ -70,8 +70,8 @@ class GcnConfig:
         if self.weight_mode == "manual":
             if self.manual_weights is None or len(self.manual_weights) != 2:
                 raise InvalidConfig("manual weight mode needs a (benign, phishing) pair")
-            if any(w <= 0 for w in self.manual_weights):
-                raise InvalidConfig("manual weights must be positive")
+            if not all(0 < w < np.inf for w in self.manual_weights):
+                raise InvalidConfig("manual weights must be positive and finite")
         if self.optimizer not in OPTIMIZERS:
             raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.threshold < 1.0:
@@ -399,6 +399,10 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
             dropout_seed=_epoch_seed(cfg.seed, epoch),
         )
         loss = weighted_ce_loss(probs, batch.labels, w_pair, batch.train_mask)
+        if not np.isfinite(loss):
+            raise TrainingDiverged(
+                f"training diverged: loss {loss} at epoch {epoch + 1} of {cfg.epochs}"
+            )
         report.losses.append(loss)
         report.losses_mean.append(loss / n_train if n_train else 0.0)
         grads_w, grads_b = backward(

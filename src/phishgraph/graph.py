@@ -37,8 +37,8 @@ class TxGraph:
             raise ShapeMismatch("label vector length != node count")
         if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
             raise ShapeMismatch("edge endpoint out of range")
-        pairs = {(int(s), int(d)) for s, d in self.edges}
-        if len(pairs) != len(self.edges):
+        keys = self.edges[:, 0] * max(n, 1) + self.edges[:, 1]
+        if len(np.unique(keys)) != len(keys):
             raise ShapeMismatch("duplicate directed edge")
         if sorted(self.node_index.values()) != list(range(n)):
             raise ShapeMismatch("node_index is not a bijection onto 0..n-1")
@@ -52,24 +52,23 @@ def build_graph(ds: LabeledDataset) -> TxGraph:
     """One node per distinct endpoint (first-appearance order), one edge per
     distinct (sender, receiver) pair with the collapsed transaction count, and
     each node's label code."""
-    node_index: dict[Address, int] = {}
-    addresses: list[Address] = []
-    counts: dict[tuple[int, int], int] = {}
-    for tx in ds.transactions:
-        for addr in (tx.sender, tx.receiver):
-            if addr not in node_index:
-                node_index[addr] = len(addresses)
-                addresses.append(addr)
-        key = (node_index[tx.sender], node_index[tx.receiver])
-        counts[key] = counts.get(key, 0) + 1
-    if counts:
-        edges = np.array(list(counts.keys()), dtype=np.int64)
-        weights = np.array(list(counts.values()), dtype=np.int64)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-        weights = np.empty((0,), dtype=np.int64)
-    labels = np.array([int(ds.labels[a]) for a in addresses], dtype=np.int64)
-    return TxGraph(tuple(addresses), edges, weights, node_index, labels)
+    ends = np.stack((ds.records["sender"], ds.records["receiver"]), axis=1).astype(np.int64)
+    rows, first = np.unique(ends, return_index=True)  # address-table rows
+    rows = rows[np.argsort(first)]
+    n = len(rows)
+    node_of = np.zeros(len(ds.address_table), dtype=np.int64)
+    node_of[rows] = np.arange(n)
+    pairs = node_of[ends]
+    keys, first, weights = np.unique(
+        pairs[:, 0] * n + pairs[:, 1], return_index=True, return_counts=True
+    )
+    keep = np.argsort(first)
+    edges = np.stack(np.divmod(keys[keep], max(n, 1)), axis=1)
+    addresses = tuple(ds.row_addresses[r] for r in rows.tolist())
+    labels = ds.address_table["label"][rows].astype(np.int64)
+    return TxGraph(
+        addresses, edges, weights[keep], dict(zip(addresses, range(n))), labels
+    )
 
 
 class SparseMatrix:

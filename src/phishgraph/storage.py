@@ -6,14 +6,18 @@ Layout (little-endian, version 1):
     version      u16
     n_addresses  u32
     n_tx         u64
-    address table, sorted by canonical address string:
+    address table, strictly increasing by address (canonical string order):
         20 raw bytes | label u8 | provenance u8
     transaction records, in dataset order:
         block u64 | timestamp u64 | hash 32 raw bytes |
         sender_idx u32 | receiver_idx u32 | value 32 bytes big-endian |
         gas u64 | gas_price u64 | gas_used u64
 
-Values are stored as 256-bit integers so wei amounts round-trip exactly.
+The two row layouts are the numpy dtypes ``txmodel.ADDRESS_ROW`` and
+``txmodel.TX_RECORD`` that a ``LabeledDataset`` holds in memory, so loading
+is one ``np.frombuffer`` per section plus column checks, and saving writes
+the arrays as they are. Values are stored as 256-bit integers so wei
+amounts round-trip exactly.
 Serialization is deterministic: the same dataset always produces the same
 bytes, which is what makes artifact digests reproducible.
 """
@@ -23,57 +27,23 @@ import hashlib
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from .errors import StorageError
-from .txmodel import Address, Label, LabeledDataset, LabelProvenance, Transaction
+from .txmodel import ADDRESS_ROW, TX_RECORD, Label, LabeledDataset, LabelProvenance
 
 DATASET_MAGIC = b"PHGD"
 DATASET_VERSION = 1
 
 _HEADER = struct.Struct("<4sHIQ")
-_ADDR_ROW = struct.Struct("<20sBB")
-_TX_HEAD = struct.Struct("<QQ32sII")
-_TX_TAIL = struct.Struct("<QQQ")
-_U64_MAX = 2**64 - 1
-
-
-def _addr_bytes(addr: Address) -> bytes:
-    return bytes.fromhex(addr[2:])
-
-
-def _hash_bytes(tx_hash: str) -> bytes:
-    return bytes.fromhex(tx_hash[2:])
 
 
 def save_dataset(ds: LabeledDataset, path: str | Path) -> None:
-    addresses = sorted(ds.labels)
-    index = {a: i for i, a in enumerate(addresses)}
-    parts = [
-        _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(addresses), len(ds.transactions))
-    ]
-    for addr in addresses:
-        parts.append(
-            _ADDR_ROW.pack(
-                _addr_bytes(addr),
-                int(ds.labels[addr]),
-                ds.provenance[addr].value,
-            )
-        )
-    for tx in ds.transactions:
-        for name in ("gas", "gas_price", "gas_used", "block_number", "timestamp"):
-            if getattr(tx, name) > _U64_MAX:
-                raise StorageError(f"{name} does not fit in 64 bits: {tx.tx_hash}")
-        parts.append(
-            _TX_HEAD.pack(
-                tx.block_number,
-                tx.timestamp,
-                _hash_bytes(tx.tx_hash),
-                index[tx.sender],
-                index[tx.receiver],
-            )
-        )
-        parts.append(tx.value.to_bytes(32, "big"))
-        parts.append(_TX_TAIL.pack(tx.gas, tx.gas_price, tx.gas_used))
-    Path(path).write_bytes(b"".join(parts))
+    table, records = ds.address_table, ds.records
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, len(table), len(records)))
+        fh.write(table.view(np.uint8))
+        fh.write(records.view(np.uint8))
 
 
 def load_dataset(path: str | Path) -> LabeledDataset:
@@ -85,54 +55,41 @@ def load_dataset(path: str | Path) -> LabeledDataset:
         raise StorageError(f"not a dataset file (bad magic): {path}")
     if version != DATASET_VERSION:
         raise StorageError(f"unsupported dataset version {version}: {path}")
-    offset = _HEADER.size
-    expected = offset + n_addr * _ADDR_ROW.size + n_tx * (
-        _TX_HEAD.size + 32 + _TX_TAIL.size
-    )
+    expected = _HEADER.size + n_addr * ADDRESS_ROW.itemsize + n_tx * TX_RECORD.itemsize
     if len(blob) != expected:
         raise StorageError(f"dataset file truncated or padded: {path}")
 
-    addresses: list[Address] = []
-    labels: dict[Address, Label] = {}
-    provenance: dict[Address, LabelProvenance] = {}
-    for _ in range(n_addr):
-        raw, label_code, prov_code = _ADDR_ROW.unpack_from(blob, offset)
-        offset += _ADDR_ROW.size
-        addr = Address("0x" + raw.hex())
-        addresses.append(addr)
+    table = np.frombuffer(blob, ADDRESS_ROW, n_addr, _HEADER.size)
+    records = np.frombuffer(blob, TX_RECORD, n_tx, _HEADER.size + table.nbytes)
+    bad = ~np.isin(table["label"], list(Label)) | ~np.isin(
+        table["provenance"], [p.value for p in LabelProvenance]
+    )
+    if bad.any():
+        row = int(np.argmax(bad))
         try:
-            labels[addr] = Label(label_code)
-            provenance[addr] = LabelProvenance(prov_code)
+            Label(int(table["label"][row]))
+            LabelProvenance(int(table["provenance"][row]))
         except ValueError as exc:
-            raise StorageError(f"{exc} for address {addr}: {path}") from None
-
-    transactions = []
-    for _ in range(n_tx):
-        block, ts, hash_raw, s_idx, r_idx = _TX_HEAD.unpack_from(blob, offset)
-        offset += _TX_HEAD.size
-        if s_idx >= n_addr or r_idx >= n_addr:
-            raise StorageError(
-                f"transaction endpoint index out of range ({s_idx}, {r_idx}) "
-                f"for {n_addr} addresses: {path}"
-            )
-        value = int.from_bytes(blob[offset : offset + 32], "big")
-        offset += 32
-        gas, gas_price, gas_used = _TX_TAIL.unpack_from(blob, offset)
-        offset += _TX_TAIL.size
-        transactions.append(
-            Transaction(
-                block_number=block,
-                timestamp=ts,
-                tx_hash="0x" + hash_raw.hex(),
-                sender=addresses[s_idx],
-                receiver=addresses[r_idx],
-                value=value,
-                gas=gas,
-                gas_price=gas_price,
-                gas_used=gas_used,
-            )
+            raise StorageError(f"{exc} for address {_address(table, row)}: {path}") from None
+    unordered = table["address"][1:] <= table["address"][:-1]
+    if unordered.any():
+        i = int(np.argmax(unordered)) + 1
+        raise StorageError(
+            f"address table not strictly increasing at row {i} "
+            f"({_address(table, i)}): {path}"
         )
-    return LabeledDataset(tuple(transactions), labels, provenance)
+    out_of_range = (records["sender"] >= n_addr) | (records["receiver"] >= n_addr)
+    if out_of_range.any():
+        rec = records[np.argmax(out_of_range)]
+        raise StorageError(
+            f"transaction endpoint index out of range ({rec['sender']}, "
+            f"{rec['receiver']}) for {n_addr} addresses: {path}"
+        )
+    return LabeledDataset.from_table(table, records)
+
+
+def _address(table: np.ndarray, row: int) -> str:
+    return "0x" + table["address"][row : row + 1].tobytes().hex()
 
 
 def sha256_file(path: str | Path) -> str:

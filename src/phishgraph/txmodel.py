@@ -1,22 +1,44 @@
 """Core domain types: addresses, transactions, labels, labeled datasets.
 
-All types here are immutable value objects after construction and safe to
-share between threads. Wei amounts are kept as exact Python integers; any
-conversion to floating point happens downstream in feature extraction.
+All types here are immutable value objects after construction (a dataset
+computes its derived views once, on first use). Transaction wei amounts are
+exact Python integers; any conversion to floating point happens downstream
+in feature extraction.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterator, Mapping
+from functools import cached_property
+from operator import attrgetter, methodcaller
+from typing import Iterable, Mapping
 
-from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction
+import numpy as np
+
+from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction, StorageError
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 _TX_HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 
 MAX_WEI = 2**256 - 1
+
+# The on-disk row layouts (see storage), which the columnar table keeps in
+# memory: one address-table row and one transaction record.
+ADDRESS_ROW = np.dtype([("address", "S20"), ("label", "u1"), ("provenance", "u1")])
+TX_RECORD = np.dtype(
+    [
+        ("block_number", "<u8"),
+        ("timestamp", "<u8"),
+        ("tx_hash", "S32"),
+        ("sender", "<u4"),       # address-table row
+        ("receiver", "<u4"),     # address-table row
+        ("value", ">u4", (8,)),  # 256-bit big-endian, as eight 32-bit limbs
+        ("gas", "<u8"),
+        ("gas_price", "<u8"),
+        ("gas_used", "<u8"),
+    ]
+)
 
 
 def _canonical_hex(raw: str, body_len: int) -> str | None:
@@ -137,21 +159,49 @@ class Transaction:
         return not self.violations()
 
 
-@dataclass(frozen=True)
 class LabeledDataset:
     """Cleaned transactions plus an address -> label map with provenance.
 
-    Construction validates that every transaction is well formed, that no two
-    transactions share a hash, and that every endpoint address carries a label
-    and a provenance entry. Transaction-level phishing flags are derived, not
-    stored: a transaction is phishing exactly when one of its endpoints is.
+    The data is one columnar table in the on-disk layout: ``address_table``
+    (``ADDRESS_ROW`` rows, strictly increasing by address, so a row index is
+    an address's identity) and ``records`` (``TX_RECORD`` rows, endpoints as
+    row indices). A dataset is built from Transaction objects with label and
+    provenance maps, or from the two arrays (``from_table``); either side is
+    derived from the other on first use.
+
+    Construction validates. Objects are checked one by one: well formed, no
+    repeated hash, every endpoint labeled, every label with a provenance. A
+    table's layout already fixes formats and ranges, so its columns are
+    checked for a zero timestamp, gas_used above gas and a repeated hash.
+    Transaction-level phishing flags are derived, not stored: a transaction
+    is phishing exactly when one of its endpoints is.
     """
 
-    transactions: tuple[Transaction, ...]
-    labels: Mapping[Address, Label]
-    provenance: Mapping[Address, LabelProvenance]
+    def __init__(
+        self,
+        transactions: Iterable[Transaction],
+        labels: Mapping[Address, Label],
+        provenance: Mapping[Address, LabelProvenance],
+    ):
+        self._from_objects = True
+        self.transactions = tuple(transactions)
+        self.labels, self.provenance = labels, provenance
+        self.__post_init__()
+
+    @classmethod
+    def from_table(cls, address_table: np.ndarray, records: np.ndarray) -> "LabeledDataset":
+        """Dataset over ``ADDRESS_ROW`` rows that increase strictly and
+        ``TX_RECORD`` rows whose endpoints index them."""
+        ds = cls.__new__(cls)
+        ds._from_objects = False
+        ds.address_table, ds.records = address_table, records
+        ds.__post_init__()
+        return ds
 
     def __post_init__(self):
+        if not self._from_objects:
+            self._check_columns()
+            return
         seen: set[str] = set()
         for i, tx in enumerate(self.transactions):
             problems = tx.violations()
@@ -169,6 +219,91 @@ class LabeledDataset:
             if addr not in self.provenance:
                 raise InvalidTransaction(f"label without provenance for {addr}")
 
+    def _check_columns(self) -> None:
+        """Raise for the first offending row, as the object scan does."""
+        rec = self.records
+        no_time, overspent = rec["timestamp"] == 0, rec["gas_used"] > rec["gas"]
+        order = np.argsort(rec["tx_hash"], kind="stable")
+        hashes = rec["tx_hash"][order]
+        repeated = np.zeros(len(rec), dtype=bool)
+        repeated[order[1:][hashes[1:] == hashes[:-1]]] = True
+        bad = np.flatnonzero(no_time | overspent | repeated)
+        if bad.size:
+            i = int(bad[0])
+            tx_hash = "0x" + rec["tx_hash"][i : i + 1].tobytes().hex()
+            problems = [
+                text
+                for flagged, text in (
+                    (no_time, "timestamp must be positive"),
+                    (overspent, "gas_used exceeds gas"),
+                )
+                if flagged[i]
+            ]
+            if problems:
+                raise InvalidTransaction(f"transaction {i} ({tx_hash!r}): {'; '.join(problems)}")
+            raise InvalidTransaction(f"duplicate transaction hash {tx_hash}")
+
+    @cached_property
+    def row_addresses(self) -> list[Address]:
+        """The Address of each address-table row."""
+        if self._from_objects:
+            return sorted(self.labels)
+        hexed = self.address_table["address"].tobytes().hex()
+        # hex() output is already canonical, so Address's parsing is skipped
+        return [str.__new__(Address, "0x" + hexed[i : i + 40]) for i in range(0, len(hexed), 40)]
+
+    @cached_property
+    def address_table(self) -> np.ndarray:
+        addresses = self.row_addresses
+        table = np.empty(len(addresses), ADDRESS_ROW)
+        table["address"] = _hex_column(addresses, "S20")
+        table["label"] = [int(self.labels[a]) for a in addresses]
+        table["provenance"] = [self.provenance[a].value for a in addresses]
+        return table
+
+    @cached_property
+    def records(self) -> np.ndarray:
+        """The transactions as ``TX_RECORD`` rows, filled field by field."""
+        txs, n = self.transactions, len(self.transactions)
+        row_of = {a: i for i, a in enumerate(self.row_addresses)}.__getitem__
+        records = np.empty(n, TX_RECORD)
+        for name in ("gas", "gas_price", "gas_used", "block_number", "timestamp"):
+            try:
+                records[name] = np.fromiter(map(attrgetter(name), txs), np.uint64, n)
+            except OverflowError:
+                tx = next(tx for tx in txs if getattr(tx, name) > 2**64 - 1)
+                raise StorageError(f"{name} does not fit in 64 bits: {tx.tx_hash}") from None
+        for name in ("sender", "receiver"):
+            records[name] = np.fromiter(map(row_of, map(attrgetter(name), txs)), np.uint32, n)
+        records["tx_hash"] = _hex_column(map(attrgetter("tx_hash"), txs), "S32")
+        to_bytes = methodcaller("to_bytes", 32, "big")
+        values = b"".join(map(to_bytes, map(attrgetter("value"), txs)))
+        records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
+        return records
+
+    @cached_property
+    def transactions(self) -> tuple[Transaction, ...]:
+        rec, addresses = self.records, self.row_addresses
+        hashes, values = rec["tx_hash"].tobytes().hex(), rec["value"].tobytes()
+        fields = ("block_number", "timestamp", "sender", "receiver", "gas", "gas_price", "gas_used")
+        return tuple(
+            Transaction(
+                block, ts, "0x" + hashes[64 * i : 64 * i + 64], addresses[s], addresses[r],
+                int.from_bytes(values[32 * i : 32 * i + 32], "big"), gas, gas_price, gas_used,
+            )
+            for i, (block, ts, s, r, gas, gas_price, gas_used)
+            in enumerate(zip(*(rec[name].tolist() for name in fields)))
+        )
+
+    @cached_property
+    def labels(self) -> dict[Address, Label]:
+        return dict(zip(self.row_addresses, map(Label, self.address_table["label"].tolist())))
+
+    @cached_property
+    def provenance(self) -> dict[Address, LabelProvenance]:
+        codes = self.address_table["provenance"].tolist()
+        return dict(zip(self.row_addresses, map(LabelProvenance, codes)))
+
     def tx_is_phishing(self, tx: Transaction) -> bool:
         return (
             self.labels[tx.sender] is Label.PHISHING
@@ -178,11 +313,13 @@ class LabeledDataset:
     def transaction_flags(self) -> list[bool]:
         return [self.tx_is_phishing(tx) for tx in self.transactions]
 
-    def addresses(self) -> Iterator[Address]:
-        return iter(self.labels)
-
     def class_counts(self) -> tuple[int, int]:
         """(benign, phishing) address counts."""
-        phishing = sum(1 for lbl in self.labels.values() if lbl is Label.PHISHING)
-        return len(self.labels) - phishing, phishing
+        phishing = int(np.count_nonzero(self.address_table["label"] == Label.PHISHING))
+        return len(self.address_table) - phishing, phishing
 
+
+def _hex_column(prefixed_hex: Iterable[str], dtype: str) -> np.ndarray:
+    """Fixed-width byte strings from ``0x``-prefixed canonical hex strings
+    (in which "0x" can only be a prefix: "x" is no hex digit)."""
+    return np.frombuffer(bytes.fromhex("".join(prefixed_hex).replace("0x", "")), dtype)

@@ -2,10 +2,10 @@
 
 The oracles here are deliberately independent routes: dense matrix algebra
 for the sparse forward pass, central finite differences for the analytic
-gradients, per-entry dictionaries for the normalized adjacency, plain
-pairwise counting for the metrics, a struct-level reader for model.bin and a
-node-by-node walk for forest votes. They never call the code paths they are
-used to check.
+gradients, per-transaction dictionaries for the graph, per-entry
+dictionaries for the normalized adjacency, plain pairwise counting for the
+metrics, a struct-level reader for model.bin and a node-by-node walk for
+forest votes. They never call the code paths they are used to check.
 """
 from __future__ import annotations
 
@@ -113,6 +113,23 @@ def dense_forward_oracle(model, adj_dense: np.ndarray, X: np.ndarray,
         logits = logits + model.biases[-1]
     exp = np.exp(logits - logits.max(axis=1, keepdims=True))
     return exp / exp.sum(axis=1, keepdims=True)
+
+
+def build_graph_oracle(ds) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
+    """(addresses, edges, edge weights, labels) of the transaction graph, built
+    one transaction at a time in dicts: nodes in first-appearance order, one
+    edge per distinct (sender, receiver) in first-appearance order."""
+    node_index: dict = {}
+    counts: dict[tuple[int, int], int] = {}
+    for tx in ds.transactions:
+        for a in (tx.sender, tx.receiver):
+            node_index.setdefault(a, len(node_index))
+        key = (node_index[tx.sender], node_index[tx.receiver])
+        counts[key] = counts.get(key, 0) + 1
+    edges = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
+    weights = np.array(list(counts.values()), dtype=np.int64)
+    labels = np.array([int(ds.labels[a]) for a in node_index], dtype=np.int64)
+    return tuple(node_index), edges, weights, labels
 
 
 def normalized_adjacency_oracle(g, add_self_loops: bool = True,

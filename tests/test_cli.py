@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import struct
 from pathlib import Path
@@ -54,20 +55,27 @@ def small_synth_args(out, seed=3, benign=30, phishing=8):
 RUN_SPEED_FLAGS = ["--epochs", "30", "--hidden-dims", "16,8"]
 
 # (offset, struct format, value) of one planted field in the file of a
-# one-transaction, two-address dataset: an 18-byte header, 22-byte address
-# rows (20-byte address, label byte, provenance byte), then the transaction
-# with its sender and receiver indices 48 and 52 bytes in
+# one-transaction dataset over addr(1) and addr(2): an 18-byte header, 22-byte
+# address rows (20-byte address, label byte, provenance byte), then the
+# 112-byte transaction record with its timestamp 8, sender and receiver
+# indices 48 and 52, and gas 88 bytes in
+TX_AT = 18 + 2 * 22
 PLANTED_FIELDS = {
     "label": (18 + 20, "<B", 9),
     "provenance": (18 + 21, "<B", 9),
-    "sender_index": (18 + 2 * 22 + 48, "<I", 2),
-    "receiver_index": (18 + 2 * 22 + 52, "<I", 7),
+    "duplicate_address": (18 + 22, "<20s", bytes.fromhex(addr(1)[2:])),
+    "unsorted_address": (18, "<20s", bytes.fromhex(addr(3)[2:])),
+    "sender_index": (TX_AT + 48, "<I", 2),
+    "receiver_index": (TX_AT + 52, "<I", 7),
+    "zero_timestamp": (TX_AT + 8, "<Q", 0),
+    "gas_below_gas_used": (TX_AT + 88, "<Q", 20_999),
 }
 
 
-def assert_clean_error(capsys):
+def assert_clean_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    return err
 
 
 class TestIngest:
@@ -256,6 +264,10 @@ class TestRun:
             ["--hidden-dims", "a,b"],
             ["--weight-mode", "manual", "--manual-weights", "x,1"],
             ["--weight-mode", "manual", "--manual-weights", "1,2,3"],
+            ["--lr", "nan"],
+            ["--lr", "inf"],
+            ["--weight-mode", "manual", "--manual-weights", "nan,1"],
+            ["--weight-mode", "manual", "--manual-weights", "1,inf"],
         ],
     )
     def test_malformed_gcn_flag_exits_2(self, flags, dataset, tmp_path, capsys):
@@ -263,6 +275,15 @@ class TestRun:
                      "--out-dir", str(tmp_path / "x"), *flags])
         assert code == 2
         assert_clean_error(capsys)
+
+    def test_diverging_training_exits_3(self, tmp_path, capsys):
+        ds_path = tmp_path / "ds.bin"
+        assert main(small_synth_args(ds_path, seed=1, benign=100, phishing=25)) == 0
+        capsys.readouterr()
+        code = main(["run", "--dataset", str(ds_path), "--features", "implicit",
+                     "--out-dir", str(tmp_path / "x"), "--epochs", "3", "--lr", "1e300"])
+        assert code == 3
+        assert "epoch 2" in assert_clean_error(capsys)
 
 
 class TestCompare:
@@ -433,3 +454,18 @@ class TestStats:
         save_dataset(dataset_from([]), empty)
         code = main(["stats", "--dataset", str(empty), "--out", str(tmp_path / "s.csv")])
         assert code == 2
+
+
+def test_traced_names_resolve():
+    """Every function the benchmark's tracer (benchmarks/traced_cli.py)
+    patches is still found, callable, where it patches it."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli_targets", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.WRAPPED
+    for module_name, attr_path, span in traced.WRAPPED:
+        target = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            target = getattr(target, part, None)
+        assert callable(target), f"{module_name}.{attr_path} ({span}) is gone"

@@ -16,6 +16,7 @@ from phishgraph.features import (
     fit_minmax,
 )
 from phishgraph.graph import build_graph
+from phishgraph.storage import load_dataset, save_dataset
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
 
 from helpers import addr, dataset_from, make_tx
@@ -244,6 +245,68 @@ class TestImplicit:
         for col in ("mean_hour_sent", "mean_hour_recd"):
             vals = X.rows[:, names.index(col)]
             assert np.all((0.0 <= vals) & (vals <= 23.0))
+
+
+class TestExactColumns:
+    """The columnar extractors on extreme values, after a storage round trip:
+    wei totals beyond 2**256, gas totals beyond 2**64, a self-transfer, a
+    node that sends once, a node that only receives, and three values of
+    2**53 + 1, whose float64 sum is not the float64 of their exact sum."""
+
+    U64 = 2**64 - 1
+    MAX_WEI = 2**256 - 1
+
+    def dataset(self, tmp_path):
+        t0 = 1_600_000_000
+        big = dict(value=self.MAX_WEI, gas=self.U64, gas_price=self.U64, gas_used=self.U64)
+        txs = [
+            make_tx(1, addr(1), addr(2), ts=t0, **big),
+            make_tx(2, addr(1), addr(2), ts=t0 + 7_200, **big),
+            make_tx(3, addr(2), addr(1), ts=t0 + 50_000, **big),
+            make_tx(4, addr(1), addr(1), ts=t0 + 90_000, value=self.MAX_WEI - 6,
+                    gas=self.U64, gas_price=3, gas_used=self.U64 - 1),
+            make_tx(5, addr(3), addr(1), ts=t0 + 400_000, value=1, gas_used=7),
+            make_tx(6, addr(1), addr(4), ts=t0 + 500_000, **big),
+            *(
+                make_tx(7 + k, addr(5), addr(6), ts=t0 + k * 3_600, value=2**53 + 1,
+                        gas=2**53 + 1, gas_price=2**53 + 1, gas_used=2**53 + 1)
+                for k in range(3)
+            ),
+        ]
+        sent_by_1 = [t for t in txs if t.sender == addr(1)]
+        assert sum(t.value for t in sent_by_1) > 2**256
+        assert sum(t.gas for t in sent_by_1) > 2**64
+        assert float(3 * (2**53 + 1)) != 3 * float(2**53 + 1)
+        path = tmp_path / "extreme.bin"
+        save_dataset(dataset_from(txs, phishing=[addr(3)]), path)
+        return load_dataset(path), txs
+
+    def test_explicit_means_are_exact(self, tmp_path):
+        ds, txs = self.dataset(tmp_path)
+        g = build_graph(ds)
+        X = extract_explicit(ds, g)
+        fields = ("timestamp", "value", "gas", "gas_price", "gas_used")
+        for node, a in enumerate(g.addresses):
+            incident = [t for t in txs if a in (t.sender, t.receiver)]
+            for col, name in enumerate(fields):
+                ints = [getattr(t, name) for t in incident]
+                assert X.rows[node, col] == float(sum(ints)) / len(ints), (a, name)
+
+    def test_implicit_matches_oracle_and_exact_totals(self, tmp_path):
+        ds, txs = self.dataset(tmp_path)
+        g = build_graph(ds)
+        X = extract_implicit(ds, g)
+        assert_matches_oracle(ds, g, X)
+        names = list(IMPLICIT_FEATURE_NAMES)
+        for node, a in enumerate(g.addresses):
+            sent = [t for t in txs if t.sender == a]
+            received = [t for t in txs if t.receiver == a]
+            row = X.rows[node]
+            assert row[names.index("total_val_sent")] == float(sum(t.value for t in sent))
+            assert row[names.index("total_val_recd")] == float(sum(t.value for t in received))
+            if sent:
+                total = sum(t.gas_used for t in sent)
+                assert row[names.index("avg_gas_sent")] == float(total) / len(sent)
 
 
 class TestMinMax:

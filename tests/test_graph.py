@@ -17,9 +17,11 @@ from phishgraph.graph import (
 )
 from phishgraph.evaluate import stratified_split
 from phishgraph.features import FeatureMatrix
+from phishgraph.storage import load_dataset, save_dataset
 
 from helpers import (
     addr,
+    build_graph_oracle,
     dataset_from,
     labels_vector,
     make_tx,
@@ -85,6 +87,22 @@ class TestBuildGraph:
         assert g.labels.dtype == np.int64
         assert set(g.labels.tolist()) == {0, 1}
         assert np.array_equal(g.labels, labels_vector(ds, g))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_dict_oracle(self, seed, tmp_path):
+        # few addresses for many transactions: parallel, reciprocal and self edges
+        ds = random_tx_dataset(seed, n_addr=3 + seed, n_tx=4 * seed, phishing_rate=0.3)
+        path = tmp_path / "ds.bin"
+        save_dataset(ds, path)
+        addresses, edges, weights, labels = build_graph_oracle(ds)
+        for candidate in (ds, load_dataset(path)):
+            g = build_graph(candidate)
+            assert g.addresses == addresses
+            assert g.edges.dtype == g.edge_weights.dtype == np.int64
+            assert np.array_equal(g.edges, edges)
+            assert np.array_equal(g.edge_weights, weights)
+            assert np.array_equal(g.labels, labels)
+            assert g.node_index == {a: i for i, a in enumerate(addresses)}
 
     def test_permutation_stable_up_to_relabeling(self):
         ds = random_tx_dataset(4)
