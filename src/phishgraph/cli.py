@@ -164,7 +164,7 @@ def _cmd_ingest(args) -> int:
     )
     benign, phishing = ds.class_counts()
     print(
-        f"ingested {len(ds.transactions)} transactions "
+        f"ingested {len(ds.records)} transactions "
         f"({benign} benign / {phishing} phishing addresses) -> {out}"
     )
     return 0
@@ -202,7 +202,7 @@ def _cmd_synth(args) -> int:
     save_dataset(ds, out)
     benign, phishing = ds.class_counts()
     print(
-        f"generated {len(ds.transactions)} transactions over "
+        f"generated {len(ds.records)} transactions over "
         f"{benign + phishing} addresses ({phishing} phishing) -> {out}"
     )
     return 0

@@ -20,7 +20,9 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     ApiError,
@@ -38,7 +40,9 @@ from .txmodel import (
     LabelProvenance,
     Transaction,
     canonicalize_tx_hash,
+    hex_column,
     parse_wei,
+    transaction_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -157,13 +161,19 @@ def _row_to_transaction(fields: dict) -> Transaction:
 
 
 def parse_etherscan_csv(source: ByteSource) -> ParseResult:
-    """Parse a CSV export. Header is mandatory; extra columns are ignored."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as stream:
-            return _parse_csv_stream(stream)
-    if isinstance(source, bytes):
-        return _parse_csv_stream(io.StringIO(source.decode("utf-8")))
-    return _parse_csv_stream(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+    """Parse a CSV export. Header is mandatory; extra columns are ignored.
+
+    A file that is not UTF-8 or not CSV is a MalformedDocument.
+    """
+    try:
+        if isinstance(source, (str, Path)):
+            with open(source, "r", encoding="utf-8", newline="") as stream:
+                return _parse_csv_stream(stream)
+        if isinstance(source, bytes):
+            return _parse_csv_stream(io.StringIO(source.decode("utf-8")))
+        return _parse_csv_stream(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise MalformedDocument(f"unreadable CSV: {exc}") from None
 
 
 def _parse_csv_stream(stream: IO[str]) -> ParseResult:
@@ -285,7 +295,7 @@ def _read_address_file(path: str | Path) -> frozenset[Address]:
 
 
 def label_dataset(
-    txs: Iterable[Transaction],
+    txs: Sequence[Transaction],
     phishing_list: PhishingList,
     require_verified: bool = False,
 ) -> LabeledDataset:
@@ -293,45 +303,26 @@ def label_dataset(
 
     Output labels and provenance are independent of input transaction order.
     """
-    transactions = tuple(txs)
     if not phishing_list.addresses:
         logger.warning("phishing list is empty; every address will be labeled benign")
-
-    effective = (
-        phishing_list.verified if require_verified else phishing_list.addresses
+    table, records = transaction_table(txs)
+    listed, verified = (
+        np.isin(table["address"], hex_column(group, "S20"))
+        for group in (phishing_list.addresses, phishing_list.verified)
     )
-    endpoints: set[Address] = set()
-    for tx in transactions:
-        endpoints.add(tx.sender)
-        endpoints.add(tx.receiver)
-
-    labels: dict[Address, Label] = {}
-    provenance: dict[Address, LabelProvenance] = {}
-    for addr in sorted(endpoints):
-        if addr in effective:
-            labels[addr] = Label.PHISHING
-            provenance[addr] = (
-                LabelProvenance.VERIFIED_PHISHING
-                if addr in phishing_list.verified
-                else LabelProvenance.LISTED_PHISHING
-            )
-        elif addr in phishing_list.addresses:
-            # Flagged but gated out by R2: benign label, listing remembered.
-            labels[addr] = Label.BENIGN
-            provenance[addr] = LabelProvenance.LISTED_PHISHING
-        else:
-            labels[addr] = Label.BENIGN
-            provenance[addr] = LabelProvenance.ASSUMED_BENIGN
-
+    phishing = verified if require_verified else listed
+    table["label"] = np.where(phishing, Label.PHISHING, Label.BENIGN)
+    # A flagged address gated out by R2 keeps a benign label, listing remembered.
+    table["provenance"] = np.select(
+        [verified, listed],
+        [LabelProvenance.VERIFIED_PHISHING.value, LabelProvenance.LISTED_PHISHING.value],
+        LabelProvenance.ASSUMED_BENIGN.value,
+    )
     # One-hop pass: counterparties of phishing transactions stay benign at the
     # address level but their provenance records the direct contact.
-    for tx in transactions:
-        if labels[tx.sender] is Label.PHISHING or labels[tx.receiver] is Label.PHISHING:
-            for addr in (tx.sender, tx.receiver):
-                if (
-                    labels[addr] is Label.BENIGN
-                    and provenance[addr] is LabelProvenance.ASSUMED_BENIGN
-                ):
-                    provenance[addr] = LabelProvenance.ONE_HOP_PHISHING
-
-    return LabeledDataset(transactions, labels, provenance)
+    sender, receiver = records["sender"], records["receiver"]
+    flagged_tx = phishing[sender] | phishing[receiver]
+    contact = np.zeros(len(table), dtype=bool)
+    contact[sender[flagged_tx]] = contact[receiver[flagged_tx]] = True
+    table["provenance"][contact & ~listed] = LabelProvenance.ONE_HOP_PHISHING.value
+    return LabeledDataset(table, records)

@@ -85,7 +85,7 @@ def load_dataset(path: str | Path) -> LabeledDataset:
             f"transaction endpoint index out of range ({rec['sender']}, "
             f"{rec['receiver']}) for {n_addr} addresses: {path}"
         )
-    return LabeledDataset.from_table(table, records)
+    return LabeledDataset(table, records)
 
 
 def _address(table: np.ndarray, row: int) -> str:

@@ -19,7 +19,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .txmodel import Address, Label, LabeledDataset, LabelProvenance, Transaction
+from .txmodel import (
+    ADDRESS_ROW,
+    MAX_U64,
+    MAX_WEI,
+    TX_RECORD,
+    Label,
+    LabeledDataset,
+    LabelProvenance,
+)
 
 # Fixed end of the observation window (2023-11-14 22:13:20 UTC). Pinned so
 # generated corpora depend only on the config, never on the wall clock.
@@ -88,6 +96,11 @@ class SyntheticConfig:
             raise InvalidConfig("burst hours must lie within [0, 23] with min <= max")
         if self.window_days < 3:
             raise InvalidConfig("window must span at least three days")
+        if WINDOW_END - self.window_days * 86_400 < _GENESIS:
+            raise InvalidConfig(
+                f"window_days must be at most {(WINDOW_END - _GENESIS) // 86_400}, "
+                "so that the window starts after the block-number anchor"
+            )
         if not 0 <= self.phishing_dormancy_days <= self.window_days - 2:
             raise InvalidConfig("dormancy must leave room for a burst day")
         if self.benign_value_log_sigma <= 0 or self.phishing_value_log_sigma <= 0:
@@ -144,53 +157,80 @@ class SyntheticConfig:
         return cfg
 
 
-def _tx_hash(counter: int) -> str:
-    return "0x" + hashlib.sha256(f"synthetic-tx-{counter}".encode()).hexdigest()
-
-
-def _fresh_address(rng: np.random.Generator, taken: set[str]) -> Address:
+def _fresh_address(rng: np.random.Generator, taken: set[bytes]) -> bytes:
     while True:
-        addr = Address("0x" + bytes(rng.integers(0, 256, 20, dtype=np.uint8)).hex())
+        addr = bytes(rng.integers(0, 256, 20, dtype=np.uint8))
         if addr not in taken:
             taken.add(addr)
             return addr
 
 
+def _lognormal_int(rng: np.random.Generator, mu: float, sigma: float, limit: int,
+                   what: str) -> int:
+    """One lognormal draw, truncated to an int that must not exceed ``limit``."""
+    draw = rng.lognormal(mu, sigma)
+    if not draw <= limit:  # also rejects nan
+        raise InvalidConfig(
+            f"{what} draw {draw:.4g} does not fit in {limit.bit_length()} bits; "
+            "check its log mu and sigma"
+        )
+    return int(draw)
+
+
 class _TxBuilder:
-    """Accumulates transactions with deterministic hashes and block numbers."""
+    """Accumulates transactions column by column, with endpoints given as
+    generation indices (benign addresses first, then phishing)."""
 
     def __init__(self, rng: np.random.Generator, gas_price_sigma: float):
         self.rng = rng
         self.gas_price_sigma = gas_price_sigma
-        self.txs: list[Transaction] = []
-        self._counter = 0
+        self.timestamp, self.sender, self.receiver, self.value = [], [], [], []
+        self.gas, self.gas_price, self.gas_used = [], [], []
 
-    def add(
-        self, ts: int, sender: Address, receiver: Address, value: int,
-        gas_price_mu: float,
-    ) -> None:
+    def add(self, ts: int, sender: int, receiver: int, value: int, gas_price_mu: float) -> None:
         rng = self.rng
         gas_used = int(rng.integers(21_000, 80_001))
         gas = gas_used + int(rng.integers(0, 20_001))
-        gas_price = int(rng.lognormal(gas_price_mu, self.gas_price_sigma))
-        self.txs.append(
-            Transaction(
-                block_number=(ts - _GENESIS) // _BLOCK_SECONDS,
-                timestamp=ts,
-                tx_hash=_tx_hash(self._counter),
-                sender=sender,
-                receiver=receiver,
-                value=value,
-                gas=gas,
-                gas_price=gas_price,
-                gas_used=gas_used,
-            )
+        gas_price = _lognormal_int(rng, gas_price_mu, self.gas_price_sigma, MAX_U64, "gas price")
+        self.timestamp.append(ts)
+        self.sender.append(sender)
+        self.receiver.append(receiver)
+        self.value.append(value)
+        self.gas.append(gas)
+        self.gas_price.append(gas_price)
+        self.gas_used.append(gas_used)
+
+    def dataset(self, addresses: list[bytes], n_benign: int) -> LabeledDataset:
+        """The table: address rows in increasing order, records ordered by
+        (timestamp, hash), each hash derived from the generation counter."""
+        column = np.frombuffer(b"".join(addresses), "S20")
+        order = np.argsort(column)  # generated addresses are distinct
+        row_of = np.empty(len(addresses), np.int64)
+        row_of[order] = np.arange(len(addresses))
+        table = np.empty(len(addresses), ADDRESS_ROW)
+        table["address"] = column[order]
+        table["label"] = np.where(order >= n_benign, Label.PHISHING, Label.BENIGN)
+        table["provenance"] = LabelProvenance.SYNTHETIC.value
+
+        n = len(self.timestamp)
+        records = np.empty(n, TX_RECORD)
+        for name in ("timestamp", "gas", "gas_price", "gas_used"):
+            records[name] = getattr(self, name)
+        records["block_number"] = (records["timestamp"] - _GENESIS) // _BLOCK_SECONDS
+        records["tx_hash"] = np.frombuffer(
+            b"".join(hashlib.sha256(f"synthetic-tx-{i}".encode()).digest() for i in range(n)),
+            "S32",
         )
-        self._counter += 1
+        records["sender"] = row_of[self.sender]
+        records["receiver"] = row_of[self.receiver]
+        values = b"".join(v.to_bytes(32, "big") for v in self.value)
+        records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
+        records = records[np.lexsort((records["tx_hash"], records["timestamp"]))]
+        return LabeledDataset(table, records)
 
 
 def _value(rng: np.random.Generator, mu: float, sigma: float) -> int:
-    return max(1, int(rng.lognormal(mu, sigma)))
+    return max(1, _lognormal_int(rng, mu, sigma, MAX_WEI, "value"))
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
@@ -199,27 +239,29 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     rng = np.random.default_rng(cfg.seed)
     window_start = WINDOW_END - cfg.window_days * 86_400
 
-    taken: set[str] = set()
-    benign = [_fresh_address(rng, taken) for _ in range(cfg.n_benign_addresses)]
-    phishing = [_fresh_address(rng, taken) for _ in range(cfg.n_phishing_addresses)]
+    taken: set[bytes] = set()
+    n_benign = cfg.n_benign_addresses
+    addresses = [
+        _fresh_address(rng, taken) for _ in range(n_benign + cfg.n_phishing_addresses)
+    ]
     builder = _TxBuilder(rng, cfg.gas_price_log_sigma)
 
     # Background traffic: benign addresses send to other benign addresses at
     # uniformly random times, so their hour histograms are flat and their
     # inter-transaction gaps are on the order of days to weeks.
     p_lo, p_hi = cfg.benign_peer_count_range
-    for addr in benign:
+    for sender in range(n_benign):
         peer_ids = rng.integers(
-            0, len(benign), size=int(rng.integers(p_lo, p_hi + 1))
+            0, n_benign, size=int(rng.integers(p_lo, p_hi + 1))
         )
         lo, hi = cfg.tx_per_address_range
         n = int(rng.integers(lo, hi + 1))
         for _ in range(n):
             ts = int(rng.integers(window_start, WINDOW_END))
-            receiver = benign[int(peer_ids[int(rng.integers(0, len(peer_ids)))])]
+            receiver = int(peer_ids[int(rng.integers(0, len(peer_ids)))])
             builder.add(
                 ts,
-                addr,
+                sender,
                 receiver,
                 _value(rng, cfg.benign_value_log_mu, cfg.benign_value_log_sigma),
                 cfg.benign_gas_price_log_mu,
@@ -232,9 +274,9 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     h_lo, h_hi = cfg.phishing_burst_hour_range
     first_day = -(-window_start // 86_400)  # first full UTC day in the window
     last_day = WINDOW_END // 86_400         # exclusive
-    pool_size = min(cfg.phishing_mule_pool_size, len(benign))
-    mule_pool = rng.integers(0, len(benign), size=pool_size)
-    for addr in phishing:
+    pool_size = min(cfg.phishing_mule_pool_size, n_benign)
+    mule_pool = rng.integers(0, n_benign, size=pool_size)
+    for addr in range(n_benign, len(addresses)):
         burst_day = 86_400 * int(
             rng.integers(first_day + cfg.phishing_dormancy_days, last_day)
         )
@@ -247,7 +289,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
         lo, hi = cfg.phishing_victim_tx_range
         for _ in range(int(rng.integers(lo, hi + 1))):
             ts = int(rng.integers(window_start, max(burst_day, window_start + 1)))
-            victim = benign[int(rng.integers(0, len(benign)))]
+            victim = int(rng.integers(0, n_benign))
             builder.add(
                 ts,
                 victim,
@@ -264,7 +306,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
         second_hi = max(second_lo + 1, (h_hi if h_hi > h_lo else h_lo + 1) * 3_600)
         for k in range(int(rng.integers(lo, hi + 1))):
             ts = burst_day + int(rng.integers(second_lo, second_hi))
-            mule = benign[int(mule_ids[k % len(mule_ids)])]
+            mule = int(mule_ids[k % len(mule_ids)])
             builder.add(
                 ts,
                 addr,
@@ -273,13 +315,4 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
                 cfg.phishing_gas_price_log_mu,
             )
 
-    transactions = sorted(builder.txs, key=lambda tx: (tx.timestamp, tx.tx_hash))
-    labels: dict[Address, Label] = {}
-    provenance: dict[Address, LabelProvenance] = {}
-    for addr in benign:
-        labels[addr] = Label.BENIGN
-        provenance[addr] = LabelProvenance.SYNTHETIC
-    for addr in phishing:
-        labels[addr] = Label.PHISHING
-        provenance[addr] = LabelProvenance.SYNTHETIC
-    return LabeledDataset(tuple(transactions), labels, provenance)
+    return builder.dataset(addresses, n_benign)

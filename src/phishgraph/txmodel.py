@@ -1,9 +1,10 @@
 """Core domain types: addresses, transactions, labels, labeled datasets.
 
-All types here are immutable value objects after construction (a dataset
-computes its derived views once, on first use). Transaction wei amounts are
-exact Python integers; any conversion to floating point happens downstream
-in feature extraction.
+A labeled dataset is a columnar table of two numpy structured arrays in the
+on-disk row layouts, built only from arrays; ``Transaction`` objects are a
+view of it, and what the explorer parsers and ``fetch`` produce. Transaction
+wei amounts are exact Python integers; any conversion to floating point
+happens downstream in feature extraction.
 """
 from __future__ import annotations
 
@@ -11,17 +12,20 @@ import re
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter, methodcaller
-from typing import Iterable, Mapping
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction, StorageError
+from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction
 
 _ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
 _TX_HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
+_HEX_RE = re.compile(r"[0-9a-f]*")
 
 MAX_WEI = 2**256 - 1
+MAX_U64 = 2**64 - 1
 
 # The on-disk row layouts (see storage), which the columnar table keeps in
 # memory: one address-table row and one transaction record.
@@ -47,7 +51,7 @@ def _canonical_hex(raw: str, body_len: int) -> str | None:
     s = raw.strip().lower()
     if s.startswith("0x"):
         s = s[2:]
-    if len(s) != body_len or any(c not in "0123456789abcdef" for c in s):
+    if len(s) != body_len or not _HEX_RE.fullmatch(s):
         return None
     return "0x" + s
 
@@ -94,7 +98,10 @@ def parse_wei(decimal_string: str) -> int:
         or not decimal_string.isdigit()
     ):
         raise InvalidNumeral(f"not an unsigned decimal numeral: {decimal_string!r}")
-    return int(decimal_string)
+    try:
+        return int(decimal_string)
+    except ValueError:  # more digits than the interpreter converts
+        raise InvalidNumeral(f"numeral of {len(decimal_string)} digits is too long") from None
 
 
 def to_decimal(value: int) -> str:
@@ -148,6 +155,9 @@ class Transaction:
             problems.append("malformed receiver address")
         if not 0 <= self.value <= MAX_WEI:
             problems.append("value out of range")
+        if max(self.block_number, self.timestamp, self.gas, self.gas_price,
+               self.gas_used) > MAX_U64:
+            problems.append("field beyond 64 bits")
         if self.gas < 0 or self.gas_price < 0 or self.gas_used < 0:
             problems.append("negative gas field")
         if self.gas_used > self.gas:
@@ -160,67 +170,28 @@ class Transaction:
 
 
 class LabeledDataset:
-    """Cleaned transactions plus an address -> label map with provenance.
+    """Cleaned transactions plus the label and provenance of every address.
 
-    The data is one columnar table in the on-disk layout: ``address_table``
-    (``ADDRESS_ROW`` rows, strictly increasing by address, so a row index is
-    an address's identity) and ``records`` (``TX_RECORD`` rows, endpoints as
-    row indices). A dataset is built from Transaction objects with label and
-    provenance maps, or from the two arrays (``from_table``); either side is
-    derived from the other on first use.
+    The dataset is one columnar table in the on-disk layout, and it is built
+    only from arrays: ``address_table`` (``ADDRESS_ROW`` rows, strictly
+    increasing by address, so a row index is an address's identity) and
+    ``records`` (``TX_RECORD`` rows, endpoints as row indices). Each endpoint
+    is a row that carries its own label and provenance, so every endpoint is
+    labeled by construction. ``transactions``, ``labels`` and ``provenance``
+    are object views of the table, derived on first use and never written
+    back.
 
-    Construction validates. Objects are checked one by one: well formed, no
-    repeated hash, every endpoint labeled, every label with a provenance. A
-    table's layout already fixes formats and ranges, so its columns are
-    checked for a zero timestamp, gas_used above gas and a repeated hash.
-    Transaction-level phishing flags are derived, not stored: a transaction
-    is phishing exactly when one of its endpoints is.
+    Construction validates what the layout leaves open: a zero timestamp,
+    gas_used above gas and a repeated hash. A transaction is phishing exactly
+    when one of its endpoints is; that flag is derived, not stored.
     """
 
-    def __init__(
-        self,
-        transactions: Iterable[Transaction],
-        labels: Mapping[Address, Label],
-        provenance: Mapping[Address, LabelProvenance],
-    ):
-        self._from_objects = True
-        self.transactions = tuple(transactions)
-        self.labels, self.provenance = labels, provenance
+    def __init__(self, address_table: np.ndarray, records: np.ndarray):
+        self.address_table, self.records = address_table, records
         self.__post_init__()
 
-    @classmethod
-    def from_table(cls, address_table: np.ndarray, records: np.ndarray) -> "LabeledDataset":
-        """Dataset over ``ADDRESS_ROW`` rows that increase strictly and
-        ``TX_RECORD`` rows whose endpoints index them."""
-        ds = cls.__new__(cls)
-        ds._from_objects = False
-        ds.address_table, ds.records = address_table, records
-        ds.__post_init__()
-        return ds
-
     def __post_init__(self):
-        if not self._from_objects:
-            self._check_columns()
-            return
-        seen: set[str] = set()
-        for i, tx in enumerate(self.transactions):
-            problems = tx.violations()
-            if problems:
-                raise InvalidTransaction(
-                    f"transaction {i} ({tx.tx_hash!r}): {'; '.join(problems)}"
-                )
-            if tx.tx_hash in seen:
-                raise InvalidTransaction(f"duplicate transaction hash {tx.tx_hash}")
-            seen.add(tx.tx_hash)
-            for addr in (tx.sender, tx.receiver):
-                if addr not in self.labels:
-                    raise InvalidTransaction(f"unlabeled address {addr}")
-        for addr in self.labels:
-            if addr not in self.provenance:
-                raise InvalidTransaction(f"label without provenance for {addr}")
-
-    def _check_columns(self) -> None:
-        """Raise for the first offending row, as the object scan does."""
+        """Raise for the first offending row."""
         rec = self.records
         no_time, overspent = rec["timestamp"] == 0, rec["gas_used"] > rec["gas"]
         order = np.argsort(rec["tx_hash"], kind="stable")
@@ -246,40 +217,9 @@ class LabeledDataset:
     @cached_property
     def row_addresses(self) -> list[Address]:
         """The Address of each address-table row."""
-        if self._from_objects:
-            return sorted(self.labels)
         hexed = self.address_table["address"].tobytes().hex()
         # hex() output is already canonical, so Address's parsing is skipped
         return [str.__new__(Address, "0x" + hexed[i : i + 40]) for i in range(0, len(hexed), 40)]
-
-    @cached_property
-    def address_table(self) -> np.ndarray:
-        addresses = self.row_addresses
-        table = np.empty(len(addresses), ADDRESS_ROW)
-        table["address"] = _hex_column(addresses, "S20")
-        table["label"] = [int(self.labels[a]) for a in addresses]
-        table["provenance"] = [self.provenance[a].value for a in addresses]
-        return table
-
-    @cached_property
-    def records(self) -> np.ndarray:
-        """The transactions as ``TX_RECORD`` rows, filled field by field."""
-        txs, n = self.transactions, len(self.transactions)
-        row_of = {a: i for i, a in enumerate(self.row_addresses)}.__getitem__
-        records = np.empty(n, TX_RECORD)
-        for name in ("gas", "gas_price", "gas_used", "block_number", "timestamp"):
-            try:
-                records[name] = np.fromiter(map(attrgetter(name), txs), np.uint64, n)
-            except OverflowError:
-                tx = next(tx for tx in txs if getattr(tx, name) > 2**64 - 1)
-                raise StorageError(f"{name} does not fit in 64 bits: {tx.tx_hash}") from None
-        for name in ("sender", "receiver"):
-            records[name] = np.fromiter(map(row_of, map(attrgetter(name), txs)), np.uint32, n)
-        records["tx_hash"] = _hex_column(map(attrgetter("tx_hash"), txs), "S32")
-        to_bytes = methodcaller("to_bytes", 32, "big")
-        values = b"".join(map(to_bytes, map(attrgetter("value"), txs)))
-        records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
-        return records
 
     @cached_property
     def transactions(self) -> tuple[Transaction, ...]:
@@ -304,22 +244,37 @@ class LabeledDataset:
         codes = self.address_table["provenance"].tolist()
         return dict(zip(self.row_addresses, map(LabelProvenance, codes)))
 
-    def tx_is_phishing(self, tx: Transaction) -> bool:
-        return (
-            self.labels[tx.sender] is Label.PHISHING
-            or self.labels[tx.receiver] is Label.PHISHING
-        )
-
-    def transaction_flags(self) -> list[bool]:
-        return [self.tx_is_phishing(tx) for tx in self.transactions]
-
     def class_counts(self) -> tuple[int, int]:
         """(benign, phishing) address counts."""
         phishing = int(np.count_nonzero(self.address_table["label"] == Label.PHISHING))
         return len(self.address_table) - phishing, phishing
 
 
-def _hex_column(prefixed_hex: Iterable[str], dtype: str) -> np.ndarray:
+def transaction_table(transactions: Sequence[Transaction]) -> tuple[np.ndarray, np.ndarray]:
+    """``(address_table, records)`` of transactions that pass ``violations()``.
+
+    The address table holds each distinct endpoint once, in increasing order,
+    labeled benign with ``ASSUMED_BENIGN`` provenance for the caller to
+    relabel; the records keep the transactions' order.
+    """
+    txs, n = transactions, len(transactions)
+    records = np.empty(n, TX_RECORD)
+    for name in ("block_number", "timestamp", "gas", "gas_price", "gas_used"):
+        records[name] = np.fromiter(map(attrgetter(name), txs), np.uint64, n)
+    records["tx_hash"] = hex_column(map(attrgetter("tx_hash"), txs), "S32")
+    to_bytes = methodcaller("to_bytes", 32, "big")
+    values = b"".join(map(to_bytes, map(attrgetter("value"), txs)))
+    records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
+    ends = chain(map(attrgetter("sender"), txs), map(attrgetter("receiver"), txs))
+    addresses, rows = np.unique(hex_column(ends, "S20"), return_inverse=True)
+    records["sender"], records["receiver"] = rows[:n], rows[n:]
+    table = np.zeros(len(addresses), ADDRESS_ROW)
+    table["address"] = addresses
+    table["provenance"] = LabelProvenance.ASSUMED_BENIGN.value
+    return table, records
+
+
+def hex_column(prefixed_hex: Iterable[str], dtype: str) -> np.ndarray:
     """Fixed-width byte strings from ``0x``-prefixed canonical hex strings
     (in which "0x" can only be a prefix: "x" is no hex digit)."""
     return np.frombuffer(bytes.fromhex("".join(prefixed_hex).replace("0x", "")), dtype)

@@ -18,10 +18,11 @@ from phishgraph.gcn import backward, forward, init_model, weighted_ce_loss
 from phishgraph.graph import build_graph, normalized_adjacency
 from phishgraph.txmodel import (
     Address,
-    Label,
     LabeledDataset,
     LabelProvenance,
     Transaction,
+    hex_column,
+    transaction_table,
 )
 
 
@@ -60,13 +61,10 @@ def make_tx(
 
 def dataset_from(txs, phishing=()) -> LabeledDataset:
     """LabeledDataset with synthetic provenance; phishing = iterable of addresses."""
-    phishing = set(phishing)
-    labels = {}
-    for tx in txs:
-        for a in (tx.sender, tx.receiver):
-            labels[a] = Label.PHISHING if a in phishing else Label.BENIGN
-    provenance = {a: LabelProvenance.SYNTHETIC for a in labels}
-    return LabeledDataset(tuple(txs), labels, provenance)
+    table, records = transaction_table(txs)
+    table["label"] = np.isin(table["address"], hex_column(phishing, "S20"))
+    table["provenance"] = LabelProvenance.SYNTHETIC.value
+    return LabeledDataset(table, records)
 
 
 def labels_vector(ds: LabeledDataset, g) -> np.ndarray:

@@ -145,6 +145,26 @@ class TestIngest:
         )
         assert code == 2
 
+    def test_field_beyond_64_bits_dropped_by_clean(self, ingest_files, tmp_path, capsys):
+        tx_file, plist = ingest_files
+        wide = csv_row(5, addr(5), addr(6)).replace(",80000,", f",{2**64},")
+        tx_file.write_text(tx_file.read_text() + wide + "\n")
+        out = tmp_path / "dataset.bin"
+        argv = ["ingest", "--tx", str(tx_file), "--phishing-list", str(plist), "--out", str(out)]
+        assert main(argv) == 0
+        assert len(load_dataset(out).records) == 4
+        report = json.loads(Path(str(out) + ".clean.json").read_text())["clean"]
+        assert report["invalid_dropped"] == 1
+        assert {"index": 5, "reason": "field beyond 64 bits"} in report["dropped"]
+
+    def test_unreadable_csv_exits_2_naming_file(self, ingest_files, tmp_path, capsys):
+        tx_file, plist = ingest_files
+        tx_file.write_bytes(tx_file.read_bytes().replace(b"17000001", b"17\xff"))
+        argv = ["ingest", "--tx", str(tx_file), "--phishing-list", str(plist),
+                "--out", str(tmp_path / "out.bin")]
+        assert main(argv) == 2
+        assert "txs.csv" in assert_clean_error(capsys).splitlines()[0]
+
 
 class TestSynth:
     def test_same_seed_identical_digests(self, tmp_path):
@@ -177,6 +197,41 @@ class TestSynth:
 
     def test_invalid_config_exits_2(self, tmp_path):
         assert main(small_synth_args(tmp_path / "x.bin", benign=0)) == 2
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"benign_value_log_mu": 800},      # the draw is inf
+            {"benign_value_log_mu": 180},      # the draw exceeds 256 bits
+            {"benign_gas_price_log_mu": 50},   # the draw exceeds 64 bits
+            {"window_days": 4000},             # the window starts before block 0
+            {"benign_value_log_sigma": float("nan")},  # the draw is nan
+        ],
+    )
+    def test_out_of_range_config_exits_2(self, config, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x.bin")]) == 2
+        assert_clean_error(capsys)
+
+    def test_pinned_digests(self, tmp_path):
+        """Generated corpora are fixed byte for byte by their config."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "n_benign_addresses": 40, "n_phishing_addresses": 10, "seed": 11,
+            "window_days": 60, "phishing_dormancy_days": 10, "benign_value_log_mu": 37.0,
+            "phishing_gas_price_log_mu": 24.5, "tx_per_address_range": [2, 6],
+            "phishing_high_value_fraction": 0.9,
+        }))
+        runs = {
+            "9fb42b49ac8ec2a1abac715da9322a7496ceeaa4e19bc839d2ee48dc9b17de98": ["--seed", "7"],
+            "6944697ae6b9a8fb32f3400fa1139f57772468f4aeda80df934dbeb6e6f03377":
+                ["--config", str(cfg_path)],
+        }
+        for digest, flags in runs.items():
+            out = tmp_path / "ds.bin"
+            assert main(["synth", *flags, "--out", str(out)]) == 0
+            assert sha256_file(out) == digest
 
 
 class TestRun:

@@ -2,9 +2,18 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phishgraph.errors import ApiError, InvalidConfig, MalformedDocument, MalformedHeader
+from phishgraph.errors import (
+    ApiError,
+    InvalidConfig,
+    MalformedDocument,
+    MalformedHeader,
+    PipelineError,
+)
 from phishgraph.ingest import (
+    ParseResult,
     PhishingList,
     clean,
     label_dataset,
@@ -92,6 +101,18 @@ class TestCsvParser:
         report = result.rejects_json()
         assert report["rejected"] == 5 and report["parsed"] == 1
 
+    @pytest.mark.parametrize(
+        "blob",
+        [
+            csv_bytes(ROW).replace(b"17000000", b"17\xff"),  # not UTF-8
+            csv_bytes(ROW).replace(b"17000000", b"17\r000000"),  # stray CR, unquoted
+            csv_bytes(ROW).replace(b"17000000", b"1" * 200_000),  # beyond csv's field limit
+        ],
+    )
+    def test_unreadable_file_is_malformed(self, blob):
+        with pytest.raises(MalformedDocument, match="unreadable CSV"):
+            parse_etherscan_csv(blob)
+
 
 def envelope(result, status="1", message="OK") -> bytes:
     return json.dumps({"status": status, "message": message, "result": result}).encode()
@@ -144,6 +165,43 @@ class TestJsonParser:
         result = parse_etherscan_json(envelope([JSON_TX, "garbage"]))
         assert len(result.transactions) == 1
         assert result.rejects[0].reason == "BadEntry"
+
+
+def mutated(blob: bytes, edits) -> bytes:
+    """``blob`` after each (position, byte, insert) edit inserts or overwrites a byte."""
+    out = bytearray(blob)
+    for position, byte, insert in edits:
+        at = position % (len(out) + 1)
+        if insert or at == len(out):
+            out.insert(at, byte)
+        else:
+            out[at] = byte
+    return bytes(out)
+
+
+EDITS = st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255), st.booleans()), max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=300), edits=EDITS)
+def test_csv_parse_of_any_bytes_is_result_or_pipeline_error(raw, edits):
+    for blob in (raw, mutated(csv_bytes(ROW, ROW.replace("aa", "bb")), edits)):
+        try:
+            result = parse_etherscan_csv(blob)
+        except PipelineError:
+            continue
+        assert isinstance(result, ParseResult)
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw=st.binary(max_size=300), edits=EDITS)
+def test_json_parse_of_any_bytes_is_result_or_pipeline_error(raw, edits):
+    for blob in (raw, mutated(envelope([JSON_TX, JSON_TX]), edits)):
+        try:
+            result = parse_etherscan_json(blob)
+        except PipelineError:
+            continue
+        assert isinstance(result, ParseResult)
 
 
 class TestClean:
@@ -205,7 +263,6 @@ class TestLabelDataset:
     def test_listed_sender_flags_transaction(self):
         tx = make_tx(1, addr(1), addr(2))
         ds = label_dataset([tx], self.plist(addr(1)))
-        assert ds.tx_is_phishing(tx)
         assert ds.labels[addr(1)] is Label.PHISHING
         assert ds.labels[addr(2)] is Label.BENIGN
         assert ds.provenance[addr(2)] is LabelProvenance.ONE_HOP_PHISHING
@@ -213,8 +270,7 @@ class TestLabelDataset:
     def test_unlisted_pair_is_benign(self):
         tx = make_tx(1, addr(1), addr(2))
         ds = label_dataset([tx], self.plist(addr(9)))
-        assert not ds.tx_is_phishing(tx)
-        assert ds.labels[addr(1)] is Label.BENIGN
+        assert ds.labels[addr(1)] is ds.labels[addr(2)] is Label.BENIGN
         assert ds.provenance[addr(1)] is LabelProvenance.ASSUMED_BENIGN
 
     def test_require_verified_gates_unverified_listing(self):
@@ -253,9 +309,34 @@ class TestLabelDataset:
     def test_flag_is_disjunction_of_endpoint_labels(self):
         rng = random.Random(6)
         txs = [make_tx(i, addr(rng.randrange(10)), addr(rng.randrange(10))) for i in range(50)]
-        ds = label_dataset(txs, self.plist(addr(1), addr(4)))
-        for tx, flag in zip(ds.transactions, ds.transaction_flags()):
-            brute = (ds.labels[tx.sender] is Label.PHISHING) or (
-                ds.labels[tx.receiver] is Label.PHISHING
-            )
-            assert flag == brute
+        listed = {addr(1), addr(4)}
+        ds = label_dataset(txs, self.plist(*listed))
+        assert ds.transactions == tuple(txs)
+        for tx in txs:
+            ends = {tx.sender, tx.receiver}
+            flag = any(ds.labels[a] is Label.PHISHING for a in ends)
+            assert flag == bool(ends & listed)
+
+    @pytest.mark.parametrize("require_verified", [False, True])
+    def test_matches_per_address_rules(self, require_verified):
+        """Labels and provenance equal the rules applied address by address."""
+        rng = random.Random(7)
+        txs = [make_tx(i, addr(rng.randrange(12)), addr(rng.randrange(12))) for i in range(40)]
+        listed, verified = {addr(1), addr(3), addr(5), addr(8)}, {addr(3), addr(8)}
+        ds = label_dataset(txs, self.plist(*listed, verified=verified), require_verified)
+        phishing = verified if require_verified else listed
+        contacts = {a for tx in txs if {tx.sender, tx.receiver} & phishing
+                    for a in (tx.sender, tx.receiver)}
+        labels, provenance = {}, {}
+        for a in {a for tx in txs for a in (tx.sender, tx.receiver)}:
+            labels[a] = Label.PHISHING if a in phishing else Label.BENIGN
+            if a in verified:
+                provenance[a] = LabelProvenance.VERIFIED_PHISHING
+            elif a in listed:
+                provenance[a] = LabelProvenance.LISTED_PHISHING
+            elif a in contacts:
+                provenance[a] = LabelProvenance.ONE_HOP_PHISHING
+            else:
+                provenance[a] = LabelProvenance.ASSUMED_BENIGN
+        assert ds.labels == labels
+        assert ds.provenance == provenance

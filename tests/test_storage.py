@@ -67,12 +67,6 @@ def test_unsorted_address_table_rejected(saved, tmp_path):
         load_dataset(path)
 
 
-def test_field_beyond_64_bits_rejected_on_save(tmp_path):
-    ds = dataset_from([make_tx(1, addr(1), addr(2), gas=2**64, gas_used=1)])
-    with pytest.raises(StorageError, match="gas does not fit in 64 bits"):
-        save_dataset(ds, tmp_path / "ds.bin")
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)), max_size=6),
