@@ -47,7 +47,14 @@ from .features import (
 )
 from .gcn import GcnConfig, save_model, train
 from .graph import build_graph, to_training_inputs
-from .ingest import PhishingList, clean, label_dataset, parse_etherscan_csv, parse_etherscan_json
+from .ingest import (
+    EXPLORER_COLUMNS,
+    PhishingList,
+    clean,
+    label_dataset,
+    parse_etherscan_csv,
+    parse_etherscan_json,
+)
 from .stats import ForestConfig, class_feature_stats, feature_importance, train_forest, write_importance
 from .storage import load_dataset, save_dataset, sha256_file
 from .synthetic import SyntheticConfig, generate_synthetic
@@ -174,16 +181,16 @@ def _cmd_ingest(args) -> int:
 
 
 def _synth_config(args) -> SyntheticConfig:
+    payload = {}
     if args.config:
-        payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        payload = {}
-    if args.seed is not None:
-        payload["seed"] = args.seed
-    if args.benign is not None:
-        payload["n_benign_addresses"] = args.benign
-    if args.phishing is not None:
-        payload["n_phishing_addresses"] = args.phishing
+        try:
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise InvalidConfig(f"{args.config}: not a JSON config: {exc}") from None
+    flags = {"seed": args.seed, "n_benign_addresses": args.benign,
+             "n_phishing_addresses": args.phishing}
+    if isinstance(payload, dict):  # from_json rejects any other document
+        payload.update((k, v) for k, v in flags.items() if v is not None)
     return SyntheticConfig.from_json(payload)
 
 
@@ -348,20 +355,7 @@ def _cmd_fetch(args) -> int:
     )
     # re-emit the explorer envelope (string-typed numerics) so the result
     # feeds straight back into `ingest --tx`
-    entries = [
-        {
-            "blockNumber": str(tx.block_number),
-            "timeStamp": str(tx.timestamp),
-            "hash": tx.tx_hash,
-            "from": str(tx.sender),
-            "to": str(tx.receiver),
-            "value": str(tx.value),
-            "gas": str(tx.gas),
-            "gasPrice": str(tx.gas_price),
-            "gasUsed": str(tx.gas_used),
-        }
-        for tx in txs
-    ]
+    entries = [dict(zip(EXPLORER_COLUMNS, map(str, tx))) for tx in txs]
     _write_json(out, {"status": "1", "message": "OK", "result": entries})
     print(f"fetched {len(txs)} transactions for {args.address} -> {out}")
     return 0

@@ -84,6 +84,7 @@ def fetch_address_history(
                 "page %d: %d rows rejected during parse", page, len(result.rejects)
             )
         collected.extend(result.transactions)
-        if len(result.transactions) < page_size:
+        # a short page is the last; a rejected entry still filled its slot
+        if len(result.transactions) + len(result.rejects) < page_size:
             break
     return collected

@@ -389,32 +389,35 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
         class_weights=w_pair, config=cfg.to_json(), seed=cfg.seed
     )
     n_train = int(batch.train_mask.sum())
-    for epoch in range(cfg.epochs):
-        probs, cache = forward(
-            model,
-            batch.norm_adj,
-            X,
-            training=True,
-            dropout_rate=cfg.dropout_rate,
-            dropout_seed=_epoch_seed(cfg.seed, epoch),
-        )
-        loss = weighted_ce_loss(probs, batch.labels, w_pair, batch.train_mask)
-        if not np.isfinite(loss):
-            raise TrainingDiverged(
-                f"training diverged: loss {loss} at epoch {epoch + 1} of {cfg.epochs}"
+    # A run that overflows is reported by the non-finite loss check, as
+    # TrainingDiverged; numpy's warnings would only come before that error.
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            probs, cache = forward(
+                model,
+                batch.norm_adj,
+                X,
+                training=True,
+                dropout_rate=cfg.dropout_rate,
+                dropout_seed=_epoch_seed(cfg.seed, epoch),
             )
-        report.losses.append(loss)
-        report.losses_mean.append(loss / n_train if n_train else 0.0)
-        grads_w, grads_b = backward(
-            model, cache, probs, batch.labels, w_pair, batch.train_mask, adj_t
-        )
-        optimizer.step(model, grads_w, grads_b)
-        # train metrics come from a clean inference pass on the updated
-        # weights, so the last entry describes the returned model
-        pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)
-        epoch_metrics = metrics(confusion(pred, batch.labels, batch.train_mask))
-        report.train_accuracy.append(epoch_metrics.accuracy)
-        report.train_weighted_f1.append(epoch_metrics.weighted_f1)
+            loss = weighted_ce_loss(probs, batch.labels, w_pair, batch.train_mask)
+            if not np.isfinite(loss):
+                raise TrainingDiverged(
+                    f"training diverged: loss {loss} at epoch {epoch + 1} of {cfg.epochs}"
+                )
+            report.losses.append(loss)
+            report.losses_mean.append(loss / n_train if n_train else 0.0)
+            grads_w, grads_b = backward(
+                model, cache, probs, batch.labels, w_pair, batch.train_mask, adj_t
+            )
+            optimizer.step(model, grads_w, grads_b)
+            # train metrics come from a clean inference pass on the updated
+            # weights, so the last entry describes the returned model
+            pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)
+            epoch_metrics = metrics(confusion(pred, batch.labels, batch.train_mask))
+            report.train_accuracy.append(epoch_metrics.accuracy)
+            report.train_weighted_f1.append(epoch_metrics.weighted_f1)
 
     if batch.test_mask.any():
         pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)

@@ -34,6 +34,8 @@ from .errors import (
     MalformedHeader,
 )
 from .txmodel import (
+    MAX_U64,
+    MAX_WEI,
     Address,
     Label,
     LabeledDataset,
@@ -47,17 +49,20 @@ from .txmodel import (
 
 logger = logging.getLogger(__name__)
 
-REQUIRED_COLUMNS = (
-    "blocknumber",
-    "timestamp",
+# The explorer's field names, in ``Transaction`` field order; the CSV header
+# is matched case-insensitively.
+EXPLORER_COLUMNS = (
+    "blockNumber",
+    "timeStamp",
     "hash",
     "from",
     "to",
     "value",
     "gas",
-    "gasprice",
-    "gasused",
+    "gasPrice",
+    "gasUsed",
 )
+REQUIRED_COLUMNS = tuple(name.lower() for name in EXPLORER_COLUMNS)
 
 ByteSource = Union[bytes, IO[bytes], str, Path]
 
@@ -163,17 +168,21 @@ def _row_to_transaction(fields: dict) -> Transaction:
 def parse_etherscan_csv(source: ByteSource) -> ParseResult:
     """Parse a CSV export. Header is mandatory; extra columns are ignored.
 
-    A file that is not UTF-8 or not CSV is a MalformedDocument.
+    Bytes, a binary stream and a path are read alike: streamed through one
+    UTF-8 decoder that leaves line endings to csv. A file that is not UTF-8
+    or not CSV is a MalformedDocument.
     """
+    if isinstance(source, (str, Path)):
+        with open(source, "rb") as raw:
+            return parse_etherscan_csv(raw)
+    raw = io.BytesIO(source) if isinstance(source, bytes) else source
+    stream = io.TextIOWrapper(raw, encoding="utf-8", newline="")
     try:
-        if isinstance(source, (str, Path)):
-            with open(source, "r", encoding="utf-8", newline="") as stream:
-                return _parse_csv_stream(stream)
-        if isinstance(source, bytes):
-            return _parse_csv_stream(io.StringIO(source.decode("utf-8")))
-        return _parse_csv_stream(io.TextIOWrapper(source, encoding="utf-8", newline=""))
+        return _parse_csv_stream(stream)
     except (UnicodeDecodeError, csv.Error) as exc:
         raise MalformedDocument(f"unreadable CSV: {exc}") from None
+    finally:
+        stream.detach()  # leaves the caller's stream open
 
 
 def _parse_csv_stream(stream: IO[str]) -> ParseResult:
@@ -240,15 +249,25 @@ def parse_etherscan_json(source: ByteSource) -> ParseResult:
 
 
 def clean(txs: Iterable[Transaction]) -> tuple[list[Transaction], CleanReport]:
-    """Drop duplicate hashes (first occurrence wins) and invalid records."""
+    """Drop parsed rows that do not fit ``TX_RECORD`` and repeated hashes.
+
+    A row is dropped for the first of: a value above 256 bits, then a block,
+    timestamp or gas field above 64 bits. Every other field was checked by
+    the parser. Of the remaining rows, the first with a given hash is kept.
+    """
     report = CleanReport()
     seen: set[str] = set()
     kept: list[Transaction] = []
     for i, tx in enumerate(txs):
-        problems = tx.violations()
-        if problems:
+        if tx.value > MAX_WEI:
+            problem = "value out of range"
+        elif max(tx.block_number, tx.timestamp, tx.gas, tx.gas_price, tx.gas_used) > MAX_U64:
+            problem = "field beyond 64 bits"
+        else:
+            problem = None
+        if problem:
             report.invalid_dropped += 1
-            report.dropped_rows.append((i, problems[0]))
+            report.dropped_rows.append((i, problem))
             continue
         if tx.tx_hash in seen:
             report.dup_dropped += 1

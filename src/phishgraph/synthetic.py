@@ -14,7 +14,8 @@ hard corpora or apart to make separable ones.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,6 +35,21 @@ from .txmodel import (
 WINDOW_END = 1_700_000_000
 _BLOCK_SECONDS = 12
 _GENESIS = 1_438_000_000  # anchor for mapping timestamps to block numbers
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# SyntheticConfig field annotation -> (what a value must be, its check)
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a finite number", lambda x: _is_int(x) or (isinstance(x, float) and math.isfinite(x))),
+    "tuple[int, int]": (
+        "a pair of integers",
+        lambda x: isinstance(x, tuple) and len(x) == 2 and all(map(_is_int, x)),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -77,6 +93,12 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        for f in fields(self):
+            what, check = _FIELD_TYPES[f.type]
+            if not check(getattr(self, f.name)):
+                raise InvalidConfig(f"{f.name} must be {what}, not {getattr(self, f.name)!r}")
+        if self.seed < 0:
+            raise InvalidConfig("seed cannot be negative")
         if self.n_benign_addresses < 1:
             raise InvalidConfig("need at least one benign address")
         if self.n_phishing_addresses < 0:
@@ -138,17 +160,12 @@ class SyntheticConfig:
 
     @classmethod
     def from_json(cls, payload: dict) -> "SyntheticConfig":
+        if not isinstance(payload, dict):
+            raise InvalidConfig("synthetic config must be a JSON object")
         kwargs = dict(payload)
-        for name in (
-            "tx_per_address_range",
-            "benign_peer_count_range",
-            "phishing_victim_tx_range",
-            "phishing_burst_tx_range",
-            "phishing_mule_count_range",
-            "phishing_burst_hour_range",
-        ):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
+        for name, value in payload.items():
+            if isinstance(value, list):  # JSON arrays hold the range pairs
+                kwargs[name] = tuple(value)
         try:
             cfg = cls(**kwargs)
         except TypeError as exc:

@@ -1,27 +1,23 @@
 """Core domain types: addresses, transactions, labels, labeled datasets.
 
 A labeled dataset is a columnar table of two numpy structured arrays in the
-on-disk row layouts, built only from arrays; ``Transaction`` objects are a
-view of it, and what the explorer parsers and ``fetch`` produce. Transaction
-wei amounts are exact Python integers; any conversion to floating point
-happens downstream in feature extraction.
+on-disk row layouts, built only from arrays; ``Transaction`` rows are a view
+of it, and what the explorer parsers and ``fetch`` produce. Transaction wei
+amounts are exact Python integers; any conversion to floating point happens
+downstream in feature extraction.
 """
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import chain
-from operator import attrgetter, methodcaller
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction
 
-_ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
-_TX_HASH_RE = re.compile(r"^0x[0-9a-f]{64}$")
 _HEX_RE = re.compile(r"[0-9a-f]*")
 
 MAX_WEI = 2**256 - 1
@@ -72,11 +68,6 @@ class Address(str):
         return super().__new__(cls, canonical)
 
 
-def canonicalize_address(raw: str) -> Address:
-    """Return the canonical form of `raw`; raises InvalidAddress otherwise."""
-    return Address(raw)
-
-
 def canonicalize_tx_hash(raw: str) -> str:
     """Canonical lowercase 0x-prefixed 32-byte transaction hash."""
     canonical = _canonical_hex(raw, 64)
@@ -104,13 +95,6 @@ def parse_wei(decimal_string: str) -> int:
         raise InvalidNumeral(f"numeral of {len(decimal_string)} digits is too long") from None
 
 
-def to_decimal(value: int) -> str:
-    """Inverse of parse_wei: decimal string without leading zeros."""
-    if value < 0:
-        raise InvalidNumeral(f"negative wei value: {value}")
-    return str(value)
-
-
 class Label(IntEnum):
     BENIGN = 0
     PHISHING = 1
@@ -126,9 +110,13 @@ class LabelProvenance(Enum):
     SYNTHETIC = 4           # produced by the synthetic generator
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One Ether transfer record as exported from a block explorer."""
+class Transaction(NamedTuple):
+    """One Ether transfer record as exported from a block explorer.
+
+    The fields are in explorer-column order, which is also ``TX_RECORD``'s.
+    The parsers check every field but the widths ``TX_RECORD`` stores, which
+    ``ingest.clean`` checks.
+    """
 
     block_number: int
     timestamp: int          # Unix seconds, UTC
@@ -139,34 +127,6 @@ class Transaction:
     gas: int                # gas units offered
     gas_price: int          # wei per gas unit
     gas_used: int           # gas units consumed
-
-    def violations(self) -> list[str]:
-        """List of invariant violations; empty for a valid transaction."""
-        problems = []
-        if self.block_number < 0:
-            problems.append("negative block number")
-        if self.timestamp <= 0:
-            problems.append("timestamp must be positive")
-        if not _TX_HASH_RE.match(self.tx_hash):
-            problems.append("malformed transaction hash")
-        if not _ADDRESS_RE.match(self.sender):
-            problems.append("malformed sender address")
-        if not _ADDRESS_RE.match(self.receiver):
-            problems.append("malformed receiver address")
-        if not 0 <= self.value <= MAX_WEI:
-            problems.append("value out of range")
-        if max(self.block_number, self.timestamp, self.gas, self.gas_price,
-               self.gas_used) > MAX_U64:
-            problems.append("field beyond 64 bits")
-        if self.gas < 0 or self.gas_price < 0 or self.gas_used < 0:
-            problems.append("negative gas field")
-        if self.gas_used > self.gas:
-            problems.append("gas_used exceeds gas")
-        return problems
-
-    @property
-    def is_valid(self) -> bool:
-        return not self.violations()
 
 
 class LabeledDataset:
@@ -251,22 +211,25 @@ class LabeledDataset:
 
 
 def transaction_table(transactions: Sequence[Transaction]) -> tuple[np.ndarray, np.ndarray]:
-    """``(address_table, records)`` of transactions that pass ``violations()``.
+    """``(address_table, records)`` of cleaned transactions.
 
     The address table holds each distinct endpoint once, in increasing order,
     labeled benign with ``ASSUMED_BENIGN`` provenance for the caller to
     relabel; the records keep the transactions' order.
     """
-    txs, n = transactions, len(transactions)
+    n, width = len(transactions), len(Transaction._fields)
+    # one row-major flattening, then a strided slice per field; zip(*rows)
+    # would hold an iterator per row and run the cyclic GC many times
+    flat = list(chain.from_iterable(transactions))
+    columns = {name: flat[k::width] for k, name in enumerate(Transaction._fields)}
     records = np.empty(n, TX_RECORD)
     for name in ("block_number", "timestamp", "gas", "gas_price", "gas_used"):
-        records[name] = np.fromiter(map(attrgetter(name), txs), np.uint64, n)
-    records["tx_hash"] = hex_column(map(attrgetter("tx_hash"), txs), "S32")
-    to_bytes = methodcaller("to_bytes", 32, "big")
-    values = b"".join(map(to_bytes, map(attrgetter("value"), txs)))
+        records[name] = np.array(columns[name], np.uint64)
+    records["tx_hash"] = hex_column(columns["tx_hash"], "S32")
+    values = b"".join([v.to_bytes(32, "big") for v in columns["value"]])
     records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
-    ends = chain(map(attrgetter("sender"), txs), map(attrgetter("receiver"), txs))
-    addresses, rows = np.unique(hex_column(ends, "S20"), return_inverse=True)
+    ends = hex_column(columns["sender"] + columns["receiver"], "S20")
+    addresses, rows = np.unique(ends, return_inverse=True)
     records["sender"], records["receiver"] = rows[:n], rows[n:]
     table = np.zeros(len(addresses), ADDRESS_ROW)
     table["address"] = addresses

@@ -1,11 +1,15 @@
 import importlib.util
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import phishgraph
 from phishgraph.cli import main
 from phishgraph.features import EXPLICIT_FEATURE_NAMES, IMPLICIT_FEATURE_NAMES
 from phishgraph.storage import load_dataset, save_dataset, sha256_file
@@ -157,6 +161,38 @@ class TestIngest:
         assert report["invalid_dropped"] == 1
         assert {"index": 5, "reason": "field beyond 64 bits"} in report["dropped"]
 
+    def test_pinned_ingest_digests(self, tmp_path, monkeypatch):
+        """The dataset and clean report of one CSV+JSON pair are fixed byte
+        for byte: a value of 2**256 and a gas of 2**64 are dropped, the first
+        of which has its hash repeated later in the JSON file (that repeat is
+        kept), a row with both is dropped for its value, a checksummed address
+        is folded, and an extra column is ignored."""
+        checksummed = "0x5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAed"
+        rows = [
+            csv_row(1, addr(1), addr(2)),
+            csv_row(2, addr(2), addr(3), value=2**256),
+            csv_row(3, addr(3), addr(4)).replace(",80000,", f",{2**64},"),
+            csv_row(4, checksummed, addr(1)),
+            csv_row(1, addr(5), addr(6)),  # repeated hash
+            csv_row(5, addr(5), addr(6), value=2**256).replace(",80000,", f",{2**64},"),
+        ]
+        monkeypatch.chdir(tmp_path)
+        Path("txs.csv").write_text(
+            "\n".join([HEADER + ",nonce", *(f"{row},{k}" for k, row in enumerate(rows))]) + "\n"
+        )
+        entry = dict(zip(HEADER.split(","), csv_row(2, addr(2), addr(7)).split(",")))
+        Path("txs.json").write_text(
+            json.dumps({"status": "1", "message": "OK", "result": [entry, "not an entry"]})
+        )
+        Path("flagged.txt").write_text(f"{checksummed}\n{addr(3)}\n")
+        argv = ["ingest", "--tx", "txs.csv", "--tx", "txs.json",
+                "--phishing-list", "flagged.txt", "--out", "ds.bin"]
+        assert main(argv) == 0
+        assert sha256_file("ds.bin") == (
+            "778a2bf287791f211cde95510270e7da95afd78e00e02d1b82ae6f1089ddbd65")
+        assert sha256_file("ds.bin.clean.json") == (
+            "44c08e353e33ddf85ec0aad1d1596e03f4712e45fb30114181277aedabfd2e9b")
+
     def test_unreadable_csv_exits_2_naming_file(self, ingest_files, tmp_path, capsys):
         tx_file, plist = ingest_files
         tx_file.write_bytes(tx_file.read_bytes().replace(b"17000001", b"17\xff"))
@@ -212,6 +248,28 @@ class TestSynth:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "x.bin")]) == 2
+        assert_clean_error(capsys)
+
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ('{"window_days": "x"}', []),
+            ('{"n_benign_addresses": 2.5}', []),
+            ('{"seed": true}', []),
+            ('{"seed": -1}', []),
+            ("{}", ["--seed", "-1"]),
+            ('{"benign_value_log_mu": "38"}', []),
+            ('{"phishing_value_log_mu": Infinity}', ["--phishing", "0"]),  # never drawn
+            ('{"tx_per_address_range": 4}', []),
+            ("[1]", []),
+            ("not json", []),
+        ],
+    )
+    def test_malformed_config_exits_2(self, text, flags, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        argv = ["synth", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x.bin")]
+        assert main(argv) == 2
         assert_clean_error(capsys)
 
     def test_pinned_digests(self, tmp_path):
@@ -339,6 +397,21 @@ class TestRun:
                      "--out-dir", str(tmp_path / "x"), "--epochs", "3", "--lr", "1e300"])
         assert code == 3
         assert "epoch 2" in assert_clean_error(capsys)
+
+    def test_diverging_training_error_is_first_stderr_line(self, tmp_path):
+        """numpy's RuntimeWarnings, which pytest hides in-process, do not come
+        before the error line."""
+        ds_path = tmp_path / "ds.bin"
+        assert main(small_synth_args(ds_path, seed=1, benign=100, phishing=25)) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(phishgraph.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "phishgraph.cli", "run", "--dataset", str(ds_path),
+             "--features", "implicit", "--out-dir", str(tmp_path / "x"),
+             "--epochs", "3", "--lr", "1e300"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:"), proc.stderr
 
 
 class TestCompare:

@@ -105,6 +105,18 @@ class TestFetch:
             )
         assert len(txs) == 2  # first page was short, so no second request
 
+    def test_full_page_with_rejected_entry_is_not_last(self):
+        bad = {**tx_entry(2, 101), "hash": "0xnot-a-hash"}
+        pages = {1: ok([tx_entry(1, 100), bad, tx_entry(3, 102)]),
+                 2: ok([tx_entry(4, 103), tx_entry(5, 104)])}
+        server = MockEtherscan(pages)
+        with server as url:
+            txs = fetch_address_history(
+                Address(FROM_A), url, "key", page_size=3, requests_per_second=0
+            )
+        assert len(server.requests) == 2
+        assert [t.block_number for t in txs] == [100, 102, 103, 104]
+
     def test_respects_page_limit(self):
         pages = {i: ok([tx_entry(i, 100 + i)]) for i in range(1, 10)}
         with MockEtherscan(pages) as url:

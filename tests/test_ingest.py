@@ -1,3 +1,4 @@
+import io
 import json
 import random
 
@@ -105,13 +106,22 @@ class TestCsvParser:
         "blob",
         [
             csv_bytes(ROW).replace(b"17000000", b"17\xff"),  # not UTF-8
-            csv_bytes(ROW).replace(b"17000000", b"17\r000000"),  # stray CR, unquoted
             csv_bytes(ROW).replace(b"17000000", b"1" * 200_000),  # beyond csv's field limit
         ],
     )
     def test_unreadable_file_is_malformed(self, blob):
         with pytest.raises(MalformedDocument, match="unreadable CSV"):
             parse_etherscan_csv(blob)
+
+    def test_bytes_stream_and_path_parse_alike(self, tmp_path):
+        # a stray CR in an unquoted field ends a line, whatever the source
+        blob = csv_bytes(ROW, ROW.replace("aa", "bb").replace("17000000", "17\r000000"))
+        path = tmp_path / "txs.csv"
+        path.write_bytes(blob)
+        stream = io.BytesIO(blob)
+        results = [parse_etherscan_csv(src) for src in (blob, stream, path, str(path))]
+        assert results[0].rejects and not stream.closed
+        assert all(result == results[0] for result in results)
 
 
 def envelope(result, status="1", message="OK") -> bytes:
@@ -218,10 +228,10 @@ class TestClean:
         assert (report.kept, report.dup_dropped, report.invalid_dropped) == (0, 0, 0)
 
     def test_mixed_fixture_counts(self):
-        # 5 valid + 2 duplicates + 1 invalid, counted by inspection
+        # 5 valid + 2 duplicates + 1 too wide for TX_RECORD, counted by inspection
         valid = [make_tx(i, addr(1), addr(2)) for i in range(5)]
         dups = [make_tx(0, addr(1), addr(2)), make_tx(3, addr(1), addr(2))]
-        invalid = [make_tx(9, addr(1), addr(2), gas=21_000, gas_used=40_000)]
+        invalid = [make_tx(9, addr(1), addr(2), gas_price=2**64)]
         kept, report = clean(valid + dups + invalid)
         assert report.kept == 5
         assert report.dup_dropped == 2

@@ -3,13 +3,8 @@ import random
 import pytest
 
 from phishgraph.errors import InvalidAddress, InvalidNumeral, InvalidTransaction
-from phishgraph.txmodel import (
-    Address,
-    Label,
-    canonicalize_address,
-    parse_wei,
-    to_decimal,
-)
+from phishgraph.ingest import clean
+from phishgraph.txmodel import Address, Label, parse_wei
 
 from helpers import addr, dataset_from, make_tx
 
@@ -17,15 +12,15 @@ from helpers import addr, dataset_from, make_tx
 class TestCanonicalizeAddress:
     def test_case_folding(self):
         raw = "0xABCdef0000000000000000000000000000000001"
-        assert canonicalize_address(raw) == "0xabcdef0000000000000000000000000000000001"
+        assert Address(raw) == "0xabcdef0000000000000000000000000000000001"
 
     def test_prefix_insertion(self):
         raw = "abcdef0000000000000000000000000000000001"
-        assert canonicalize_address(raw) == "0xabcdef0000000000000000000000000000000001"
+        assert Address(raw) == "0xabcdef0000000000000000000000000000000001"
 
     def test_wrong_length_rejected(self):
         with pytest.raises(InvalidAddress):
-            canonicalize_address("0x1234")
+            Address("0x1234")
 
     @pytest.mark.parametrize(
         "bad",
@@ -34,17 +29,17 @@ class TestCanonicalizeAddress:
     )
     def test_garbage_rejected(self, bad):
         with pytest.raises(InvalidAddress):
-            canonicalize_address(bad)
+            Address(bad)
 
     def test_uppercase_0x_prefix(self):
-        assert canonicalize_address("0Xab" + "0" * 38) == "0xab" + "0" * 38
+        assert Address("0Xab" + "0" * 38) == "0xab" + "0" * 38
 
     def test_idempotent(self):
         rng = random.Random(7)
         for _ in range(200):
             raw = "".join(rng.choice("0123456789abcdefABCDEF") for _ in range(40))
-            once = canonicalize_address(raw)
-            assert canonicalize_address(once) == once
+            once = Address(raw)
+            assert Address(once) == once
 
     def test_hash_and_equality_case_insensitive(self):
         a = Address("0xAB" + "0" * 38)
@@ -77,42 +72,40 @@ class TestParseWei:
 
     def test_leading_zeros_parse_but_round_trip_strips(self):
         assert parse_wei("007") == 7
-        assert to_decimal(parse_wei("007")) == "7"
+        assert str(parse_wei("007")) == "7"
 
     def test_round_trip_up_to_256_bits(self):
         rng = random.Random(11)
         samples = [0, 1, 2**64 - 1, 2**64, 2**256 - 1]
         samples += [rng.randrange(2**256) for _ in range(500)]
         for x in samples:
-            assert parse_wei(to_decimal(x)) == x
-
-    def test_to_decimal_rejects_negative(self):
-        with pytest.raises(InvalidNumeral):
-            to_decimal(-1)
+            assert parse_wei(str(x)) == x
 
 
 class TestTransaction:
+    """The parsers check every field of a row but its width, which ``clean``
+    checks against ``TX_RECORD``: such a row is dropped with its reason."""
+
     def test_valid_transaction(self):
-        assert make_tx(1, addr(1), addr(2)).is_valid
-
-    def test_gas_used_exceeding_gas_flagged(self):
-        tx = make_tx(1, addr(1), addr(2), gas=21_000, gas_used=22_000)
-        assert "gas_used exceeds gas" in tx.violations()
-
-    def test_nonpositive_timestamp_flagged(self):
-        assert make_tx(1, addr(1), addr(2), ts=0).violations()
-        assert make_tx(2, addr(1), addr(2), ts=-5).violations()
+        tx = make_tx(1, addr(1), addr(2))
+        kept, report = clean([tx])
+        assert kept == [tx] and report.dropped_rows == []
 
     def test_value_beyond_256_bits_flagged(self):
-        tx = make_tx(1, addr(1), addr(2), value=2**256)
-        assert "value out of range" in tx.violations()
+        txs = [make_tx(1, addr(1), addr(2), value=2**256),
+               make_tx(2, addr(1), addr(2), value=2**256 - 1)]
+        kept, report = clean(txs)
+        assert kept == txs[1:]
+        assert report.dropped_rows == [(0, "value out of range")]
+        assert report.invalid_dropped == 1
 
     @pytest.mark.parametrize("field", ["block", "ts", "gas", "gas_price", "gas_used"])
     def test_field_beyond_64_bits_flagged(self, field):
-        wide = {"gas": 2**64, field: 2**64}  # gas_used may not exceed gas
-        assert make_tx(1, addr(1), addr(2), **wide).violations() == ["field beyond 64 bits"]
-        at_limit = {"gas": 2**64 - 1, field: 2**64 - 1}
-        assert make_tx(1, addr(1), addr(2), **at_limit).violations() == []
+        wide = make_tx(1, addr(1), addr(2), **{"gas": 2**64, field: 2**64})
+        at_limit = make_tx(2, addr(1), addr(2), **{"gas": 2**64 - 1, field: 2**64 - 1})
+        kept, report = clean([wide, at_limit])
+        assert kept == [at_limit]
+        assert report.dropped_rows == [(0, "field beyond 64 bits")]
 
 
 class TestLabeledDataset:
