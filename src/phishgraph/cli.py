@@ -8,6 +8,7 @@ rerun with identical inputs produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3 runtime
 model failure (e.g. a single-class training split or a diverged training loss).
+Each ``PipelineError`` class carries its code as ``exit_code``.
 """
 from __future__ import annotations
 
@@ -20,24 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ApiError,
-    ClassAbsent,
-    EmptyMask,
-    InvalidAddress,
-    InvalidConfig,
-    InvalidNumeral,
-    InvalidTransaction,
-    MalformedDocument,
-    MalformedHeader,
-    NetworkError,
-    PipelineError,
-    RateLimited,
-    ShapeMismatch,
-    SingleClass,
-    StorageError,
-    TrainingDiverged,
-)
+from .errors import InvalidConfig, MalformedDocument, MalformedHeader, PipelineError
 from .evaluate import emit_report, stratified_split
 from .features import (
     concat_features,
@@ -58,22 +42,6 @@ from .ingest import (
 from .stats import ForestConfig, class_feature_stats, feature_importance, train_forest, write_importance
 from .storage import load_dataset, save_dataset, sha256_file
 from .synthetic import SyntheticConfig, generate_synthetic
-
-# transport-level failures exit 1; bad content or arguments exit 2
-_IO_ERRORS = (NetworkError, RateLimited)
-_USAGE_ERRORS = (
-    InvalidConfig,
-    InvalidAddress,
-    InvalidNumeral,
-    InvalidTransaction,
-    MalformedDocument,
-    MalformedHeader,
-    StorageError,
-    EmptyMask,
-    ShapeMismatch,
-    ApiError,
-)
-_MODEL_ERRORS = (SingleClass, ClassAbsent, TrainingDiverged)
 
 FEATURE_SETS = ("explicit", "implicit", "both")
 
@@ -520,18 +488,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _MODEL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except _IO_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1

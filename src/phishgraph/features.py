@@ -90,15 +90,6 @@ class FeatureMatrix:
         return len(self.names)
 
 
-def _endpoint_nodes(ds: LabeledDataset, g: TxGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Graph node id of every transaction's sender and of its receiver."""
-    node_of = np.array([g.node_index.get(a, -1) for a in ds.row_addresses], dtype=np.int64)
-    src, dst = node_of[ds.records["sender"]], node_of[ds.records["receiver"]]
-    if src.size and min(src.min(), dst.min()) < 0:
-        raise ShapeMismatch("a transaction endpoint is not a node of the graph")
-    return src, dst
-
-
 def _runs(ufunc, values: np.ndarray, counts: np.ndarray, empty=0) -> np.ndarray:
     """``ufunc`` reduced over consecutive runs of ``values`` of the given
     lengths; ``empty`` where a run has length 0."""
@@ -133,7 +124,7 @@ def _mean(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
 
 def extract_explicit(ds: LabeledDataset, g: TxGraph) -> FeatureMatrix:
     """Means of the raw transaction fields over each node's incident set."""
-    src, dst = _endpoint_nodes(ds, g)
+    src, dst = g.tx_nodes.T
     # a self-transfer joins its node's incident set once
     other = np.flatnonzero(dst != src)
     node = np.concatenate((src, dst[other]))
@@ -156,7 +147,7 @@ def extract_implicit(ds: LabeledDataset, g: TxGraph) -> FeatureMatrix:
     rows = np.zeros((n, len(IMPLICIT_FEATURE_NAMES)))
     first, last = np.full(n, _NO_TIME, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
     # column k + side: side 0 holds the sent statistic, side 1 the received one
-    for side, node in enumerate(_endpoint_nodes(ds, g)):
+    for side, node in enumerate(g.tx_nodes.T):
         order = np.lexsort((ts, node))  # by node, then by time
         counts = np.bincount(node, minlength=n)
         h, times = hour[order], ts[order]

@@ -3,27 +3,53 @@
 The fetcher is feature-gated by configuration: nothing in the pipeline needs
 it, and the test suite exercises it only against a local mock endpoint. It
 pages through the explorer's ``account txlist`` endpoint, feeding each page
-to the JSON parser, and honors a configurable request-rate ceiling.
+to the JSON parser, and honors a configurable request-rate ceiling. Requests
+go through the standard library's ``urllib``, to ``http`` and ``https``
+endpoints only.
 """
 from __future__ import annotations
 
+import http.client
 import logging
+import math
 import time
+import urllib.parse
+import urllib.request
+from datetime import datetime, timezone
+from email.utils import parsedate_to_datetime
 
-import requests
-
-from .errors import ApiError, NetworkError, RateLimited
+from .errors import ApiError, InvalidConfig, NetworkError, RateLimited
 from .ingest import parse_etherscan_json
 from .txmodel import Address, Transaction
 
 logger = logging.getLogger(__name__)
 
 _RATE_LIMIT_HINTS = ("rate limit", "ratelimit", "max rate")
+MAX_RETRY_AFTER_S = 60.0  # the longest wait a Retry-After header can ask for
 
 
 def _looks_rate_limited(exc: ApiError) -> bool:
     text = f"{exc.message} {exc.payload}".lower()
     return any(hint in text for hint in _RATE_LIMIT_HINTS)
+
+
+def _retry_after(header: str | None) -> float:
+    """Seconds to wait from a Retry-After header, in delay-seconds or as an
+    HTTP-date, clamped into [0, MAX_RETRY_AFTER_S]; 1 s when absent or
+    unparsable."""
+    try:
+        delay = float(header)
+    except (TypeError, ValueError):
+        try:
+            when = parsedate_to_datetime(header)
+        except (TypeError, ValueError):
+            return 1.0
+        if when.tzinfo is None:  # a "-0000" zone: UTC, by RFC 5322
+            when = when.replace(tzinfo=timezone.utc)
+        delay = (when - datetime.now(timezone.utc)).total_seconds()
+    if math.isnan(delay):
+        return 1.0
+    return min(max(delay, 0.0), MAX_RETRY_AFTER_S)
 
 
 def fetch_address_history(
@@ -38,9 +64,13 @@ def fetch_address_history(
 ) -> list[Transaction]:
     """Retrieve up to ``page_limit`` pages of transactions in block order.
 
-    Raises NetworkError on transport failures, RateLimited once retries are
+    Raises InvalidConfig for an endpoint that is not http or https,
+    NetworkError on a transport failure, an HTTP 4xx/5xx status or a URL
+    that urlopen cannot parse (a ValueError), RateLimited once retries are
     exhausted, and ApiError on any other error envelope.
     """
+    if not endpoint_url.lower().startswith(("http://", "https://")):
+        raise InvalidConfig(f"endpoint must be an http or https URL: {endpoint_url!r}")
     interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
     collected: list[Transaction] = []
     last_request = 0.0
@@ -54,6 +84,8 @@ def fetch_address_history(
             "sort": "asc",
             "apikey": api_key,
         }
+        query = urllib.parse.urlencode(params)
+        url = f"{endpoint_url}{'&' if '?' in endpoint_url else '?'}{query}"
         attempts = 0
         while True:
             wait = interval - (time.monotonic() - last_request)
@@ -61,20 +93,20 @@ def fetch_address_history(
                 time.sleep(wait)
             try:
                 last_request = time.monotonic()
-                response = requests.get(endpoint_url, params=params, timeout=timeout)
-                response.raise_for_status()
-            except requests.RequestException as exc:
+                with urllib.request.urlopen(url, timeout=timeout) as response:
+                    body, retry_header = response.read(), response.headers["Retry-After"]
+            except (OSError, ValueError, http.client.HTTPException) as exc:
                 raise NetworkError(f"request for page {page} failed: {exc}") from exc
             try:
-                result = parse_etherscan_json(response.content)
+                result = parse_etherscan_json(body)
                 break
             except ApiError as exc:
                 if not _looks_rate_limited(exc):
                     raise
                 attempts += 1
                 if attempts > max_retries:
-                    raise RateLimited(exc.message) from None
-                retry_after = float(response.headers.get("Retry-After", 1.0))
+                    raise RateLimited(exc.message, exc.payload) from None
+                retry_after = _retry_after(retry_header)
                 logger.warning(
                     "rate limited on page %d; retrying in %.1fs", page, retry_after
                 )

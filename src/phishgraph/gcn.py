@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import struct
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -38,6 +37,8 @@ MODEL_VERSION = 1
 _LOG_CLAMP = 1e-12
 WEIGHT_MODES = ("uniform", "inverse_frequency", "manual")
 OPTIMIZERS = ("adam", "gd")
+# Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,9 +51,6 @@ class GcnConfig:
     manual_weights: tuple[float, float] | None = None
     seed: int = 0
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     threshold: float = 0.5
     use_bias: bool = False
 
@@ -317,9 +315,6 @@ class GradientDescentState:
 class AdamState:
     def __init__(self, model: GcnModel, cfg: GcnConfig):
         self.lr = cfg.learning_rate
-        self.beta1 = cfg.adam_beta1
-        self.beta2 = cfg.adam_beta2
-        self.eps = cfg.adam_eps
         self.t = 0
         self.m_w = [np.zeros_like(w) for w in model.weights]
         self.v_w = [np.zeros_like(w) for w in model.weights]
@@ -328,13 +323,13 @@ class AdamState:
             self.v_b = [np.zeros_like(b) for b in model.biases]
 
     def _update(self, param, grad, m, v):
-        m *= self.beta1
-        m += (1 - self.beta1) * grad
-        v *= self.beta2
-        v += (1 - self.beta2) * grad * grad
-        m_hat = m / (1 - self.beta1**self.t)
-        v_hat = v / (1 - self.beta2**self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * grad
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * grad * grad
+        m_hat = m / (1 - ADAM_BETA1**self.t)
+        v_hat = v / (1 - ADAM_BETA2**self.t)
+        param -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def step(self, model: GcnModel, grads_w, grads_b) -> None:
         self.t += 1
@@ -355,7 +350,6 @@ class TrainReport:
     class_weights: tuple[float, float] = (1.0, 1.0)
     config: dict = field(default_factory=dict)
     seed: int = 0
-    wall_time_s: float = 0.0  # measured but excluded from artifacts
 
     def to_dict(self) -> dict:
         return {
@@ -373,7 +367,6 @@ class TrainReport:
 def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
     """Full-batch training; deterministic for a fixed (seed, config, data)."""
     cfg.validate()
-    start = time.perf_counter()
     X = batch.features.rows
     w_pair = class_weights(
         batch.labels[batch.train_mask], cfg.weight_mode, cfg.manual_weights
@@ -422,7 +415,6 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
     if batch.test_mask.any():
         pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)
         report.final_test = metrics(confusion(pred, batch.labels, batch.test_mask))
-    report.wall_time_s = time.perf_counter() - start
     return model, report
 
 

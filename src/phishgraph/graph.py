@@ -1,10 +1,12 @@
-"""Directed address graph, normalized sparse operator, and training inputs.
+"""Transaction graph, normalized sparse operator, and training inputs.
 
-The transaction graph keeps direction and parallel-edge counts because the
-behavioral features need them. Propagation uses a separate operator: a 0/1
-adjacency, symmetrized by default (the symmetric normal form is only well
-defined for symmetric matrices), with self-loops added so nodes retain their
-own features. Both behaviors are flag-selectable for ablation.
+After ingest an address is its address-table row, so the graph is three
+arrays: the table row of each node, the (sender, receiver) node pair of each
+transaction, and the node labels. The behavioral features reduce the
+transactions grouped by those node pairs. Propagation uses a 0/1 adjacency
+built from the same pairs, symmetrized by default (the symmetric normal form
+is only well defined for symmetric matrices), with self-loops added so nodes
+retain their own features. Both behaviors are flag-selectable for ablation.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ShapeMismatch
-from .txmodel import Address, LabeledDataset
+from .txmodel import LabeledDataset
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
     from .evaluate import SplitMasks
@@ -23,52 +25,27 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
 
 @dataclass
 class TxGraph:
-    """Directed graph over addresses with per-edge transaction counts."""
+    """Nodes are the transactions' endpoints in first-appearance order."""
 
-    addresses: tuple[Address, ...]
-    edges: np.ndarray          # (m, 2) int array of (src_id, dst_id)
-    edge_weights: np.ndarray   # (m,) parallel-transaction counts
-    node_index: dict[Address, int]
-    labels: np.ndarray         # (n,) int64 label codes in node order
-
-    def __post_init__(self):
-        n = len(self.addresses)
-        if self.labels.shape != (n,):
-            raise ShapeMismatch("label vector length != node count")
-        if self.edges.size and (self.edges.min() < 0 or self.edges.max() >= n):
-            raise ShapeMismatch("edge endpoint out of range")
-        keys = self.edges[:, 0] * max(n, 1) + self.edges[:, 1]
-        if len(np.unique(keys)) != len(keys):
-            raise ShapeMismatch("duplicate directed edge")
-        if sorted(self.node_index.values()) != list(range(n)):
-            raise ShapeMismatch("node_index is not a bijection onto 0..n-1")
+    rows: np.ndarray      # (n,) int64 address-table row of each node
+    tx_nodes: np.ndarray  # (m, 2) int64 (sender, receiver) node of each transaction
+    labels: np.ndarray    # (n,) int64 label codes in node order
 
     @property
     def n_nodes(self) -> int:
-        return len(self.addresses)
+        return len(self.rows)
 
 
 def build_graph(ds: LabeledDataset) -> TxGraph:
-    """One node per distinct endpoint (first-appearance order), one edge per
-    distinct (sender, receiver) pair with the collapsed transaction count, and
-    each node's label code."""
+    """One node per distinct endpoint (first-appearance order), each
+    transaction's endpoint nodes, and each node's label code."""
     ends = np.stack((ds.records["sender"], ds.records["receiver"]), axis=1).astype(np.int64)
     rows, first = np.unique(ends, return_index=True)  # address-table rows
     rows = rows[np.argsort(first)]
-    n = len(rows)
     node_of = np.zeros(len(ds.address_table), dtype=np.int64)
-    node_of[rows] = np.arange(n)
-    pairs = node_of[ends]
-    keys, first, weights = np.unique(
-        pairs[:, 0] * n + pairs[:, 1], return_index=True, return_counts=True
-    )
-    keep = np.argsort(first)
-    edges = np.stack(np.divmod(keys[keep], max(n, 1)), axis=1)
-    addresses = tuple(ds.row_addresses[r] for r in rows.tolist())
+    node_of[rows] = np.arange(len(rows))
     labels = ds.address_table["label"][rows].astype(np.int64)
-    return TxGraph(
-        addresses, edges, weights[keep], dict(zip(addresses, range(n))), labels
-    )
+    return TxGraph(rows, node_of[ends], labels)
 
 
 class SparseMatrix:
@@ -151,9 +128,6 @@ class SparseMatrix:
         csr.sum_duplicates()  # also sorts the column ids of each row
         return cls(*csr.shape, csr.indptr, csr.indices, csr.data)
 
-    def to_dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
     def transpose(self) -> "SparseMatrix":
         return SparseMatrix._from_csr(self.csr.T.tocsr())
 
@@ -181,10 +155,10 @@ def normalized_adjacency(
     node's diagonal entry of A~ is 2.
     """
     n = g.n_nodes
-    src, dst = g.edges[:, 0], g.edges[:, 1]
+    src, dst = g.tx_nodes.T
     if symmetrize:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-    # one key per distinct (row, col): parallel and mirrored edges collapse to 1
+    # one key per distinct (row, col): parallel and mirrored transfers collapse to 1
     base = max(n, 1)
     pairs = np.unique(src * base + dst)
     rows, cols = pairs // base, pairs % base

@@ -305,8 +305,12 @@ class PhishingList:
 
 
 def _read_address_file(path: str | Path) -> frozenset[Address]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"{path}: not a UTF-8 address list: {exc}") from None
     out = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith("#"):
             out.add(Address(line))

@@ -1,16 +1,15 @@
 """Core domain types: addresses, transactions, labels, labeled datasets.
 
 A labeled dataset is a columnar table of two numpy structured arrays in the
-on-disk row layouts, built only from arrays; ``Transaction`` rows are a view
-of it, and what the explorer parsers and ``fetch`` produce. Transaction wei
-amounts are exact Python integers; any conversion to floating point happens
-downstream in feature extraction.
+on-disk row layouts, built only from arrays. ``Transaction`` rows are what the
+explorer parsers and ``fetch`` produce, and ``transaction_table`` turns them
+into the table once. Transaction wei amounts are exact Python integers; any
+conversion to floating point happens downstream in feature extraction.
 """
 from __future__ import annotations
 
 import re
 from enum import Enum, IntEnum
-from functools import cached_property
 from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
@@ -137,9 +136,7 @@ class LabeledDataset:
     increasing by address, so a row index is an address's identity) and
     ``records`` (``TX_RECORD`` rows, endpoints as row indices). Each endpoint
     is a row that carries its own label and provenance, so every endpoint is
-    labeled by construction. ``transactions``, ``labels`` and ``provenance``
-    are object views of the table, derived on first use and never written
-    back.
+    labeled by construction.
 
     Construction validates what the layout leaves open: a zero timestamp,
     gas_used above gas and a repeated hash. A transaction is phishing exactly
@@ -173,36 +170,6 @@ class LabeledDataset:
             if problems:
                 raise InvalidTransaction(f"transaction {i} ({tx_hash!r}): {'; '.join(problems)}")
             raise InvalidTransaction(f"duplicate transaction hash {tx_hash}")
-
-    @cached_property
-    def row_addresses(self) -> list[Address]:
-        """The Address of each address-table row."""
-        hexed = self.address_table["address"].tobytes().hex()
-        # hex() output is already canonical, so Address's parsing is skipped
-        return [str.__new__(Address, "0x" + hexed[i : i + 40]) for i in range(0, len(hexed), 40)]
-
-    @cached_property
-    def transactions(self) -> tuple[Transaction, ...]:
-        rec, addresses = self.records, self.row_addresses
-        hashes, values = rec["tx_hash"].tobytes().hex(), rec["value"].tobytes()
-        fields = ("block_number", "timestamp", "sender", "receiver", "gas", "gas_price", "gas_used")
-        return tuple(
-            Transaction(
-                block, ts, "0x" + hashes[64 * i : 64 * i + 64], addresses[s], addresses[r],
-                int.from_bytes(values[32 * i : 32 * i + 32], "big"), gas, gas_price, gas_used,
-            )
-            for i, (block, ts, s, r, gas, gas_price, gas_used)
-            in enumerate(zip(*(rec[name].tolist() for name in fields)))
-        )
-
-    @cached_property
-    def labels(self) -> dict[Address, Label]:
-        return dict(zip(self.row_addresses, map(Label, self.address_table["label"].tolist())))
-
-    @cached_property
-    def provenance(self) -> dict[Address, LabelProvenance]:
-        codes = self.address_table["provenance"].tolist()
-        return dict(zip(self.row_addresses, map(LabelProvenance, codes)))
 
     def class_counts(self) -> tuple[int, int]:
         """(benign, phishing) address counts."""

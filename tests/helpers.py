@@ -18,6 +18,7 @@ from phishgraph.gcn import backward, forward, init_model, weighted_ce_loss
 from phishgraph.graph import build_graph, normalized_adjacency
 from phishgraph.txmodel import (
     Address,
+    Label,
     LabeledDataset,
     LabelProvenance,
     Transaction,
@@ -67,8 +68,64 @@ def dataset_from(txs, phishing=()) -> LabeledDataset:
     return LabeledDataset(table, records)
 
 
+# ------------------------------------------- object views of a dataset table
+
+
+def row_addresses(ds: LabeledDataset) -> list[Address]:
+    """The Address of each address-table row."""
+    raw = ds.address_table["address"].tobytes()
+    return [Address("0x" + raw[i : i + 20].hex()) for i in range(0, len(raw), 20)]
+
+
+def transactions(ds: LabeledDataset) -> tuple[Transaction, ...]:
+    """The dataset's transactions in record order."""
+    rec, addresses = ds.records, row_addresses(ds)
+    hashes, values = rec["tx_hash"].tobytes(), rec["value"].tobytes()
+    ints = {name: rec[name].tolist() for name in
+            ("block_number", "timestamp", "sender", "receiver", "gas", "gas_price", "gas_used")}
+    return tuple(
+        Transaction(
+            ints["block_number"][i],
+            ints["timestamp"][i],
+            "0x" + hashes[32 * i : 32 * i + 32].hex(),
+            addresses[ints["sender"][i]],
+            addresses[ints["receiver"][i]],
+            int.from_bytes(values[32 * i : 32 * i + 32], "big"),
+            ints["gas"][i],
+            ints["gas_price"][i],
+            ints["gas_used"][i],
+        )
+        for i in range(len(rec))
+    )
+
+
+def labels(ds: LabeledDataset) -> dict[Address, Label]:
+    return {a: Label(int(c)) for a, c in zip(row_addresses(ds), ds.address_table["label"])}
+
+
+def provenance(ds: LabeledDataset) -> dict[Address, LabelProvenance]:
+    codes = ds.address_table["provenance"]
+    return {a: LabelProvenance(int(c)) for a, c in zip(row_addresses(ds), codes)}
+
+
+def node_addresses(ds: LabeledDataset, g) -> tuple[Address, ...]:
+    """The Address of each graph node, in node order."""
+    addresses = row_addresses(ds)
+    return tuple(addresses[int(r)] for r in g.rows)
+
+
+def node_of(ds: LabeledDataset, g, a: Address) -> int:
+    return node_addresses(ds, g).index(a)
+
+
 def labels_vector(ds: LabeledDataset, g) -> np.ndarray:
-    return np.array([int(ds.labels[a]) for a in g.addresses], dtype=np.int64)
+    by_address = labels(ds)
+    return np.array([int(by_address[a]) for a in node_addresses(ds, g)], dtype=np.int64)
+
+
+def to_dense(m) -> np.ndarray:
+    """A SparseMatrix as a dense array."""
+    return m.csr.toarray()
 
 
 def random_tx_dataset(seed: int, n_addr: int = 8, n_tx: int = 14,
@@ -113,21 +170,19 @@ def dense_forward_oracle(model, adj_dense: np.ndarray, X: np.ndarray,
     return exp / exp.sum(axis=1, keepdims=True)
 
 
-def build_graph_oracle(ds) -> tuple[tuple, np.ndarray, np.ndarray, np.ndarray]:
-    """(addresses, edges, edge weights, labels) of the transaction graph, built
-    one transaction at a time in dicts: nodes in first-appearance order, one
-    edge per distinct (sender, receiver) in first-appearance order."""
+def build_graph_oracle(ds) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """(node addresses, per-transaction (sender, receiver) nodes, labels) of
+    the transaction graph, built one transaction at a time in a dict: nodes
+    in first-appearance order."""
     node_index: dict = {}
-    counts: dict[tuple[int, int], int] = {}
-    for tx in ds.transactions:
+    pairs = []
+    for tx in transactions(ds):
         for a in (tx.sender, tx.receiver):
             node_index.setdefault(a, len(node_index))
-        key = (node_index[tx.sender], node_index[tx.receiver])
-        counts[key] = counts.get(key, 0) + 1
-    edges = np.array(list(counts), dtype=np.int64).reshape(-1, 2)
-    weights = np.array(list(counts.values()), dtype=np.int64)
-    labels = np.array([int(ds.labels[a]) for a in node_index], dtype=np.int64)
-    return tuple(node_index), edges, weights, labels
+        pairs.append((node_index[tx.sender], node_index[tx.receiver]))
+    by_address = labels(ds)
+    node_labels = np.array([int(by_address[a]) for a in node_index], dtype=np.int64)
+    return tuple(node_index), np.array(pairs, dtype=np.int64).reshape(-1, 2), node_labels
 
 
 def normalized_adjacency_oracle(g, add_self_loops: bool = True,
@@ -135,7 +190,7 @@ def normalized_adjacency_oracle(g, add_self_loops: bool = True,
     """Dense D^{-1/2} (A + I) D^{-1/2} built one entry at a time in a dict."""
     n = g.n_nodes
     entries: dict[tuple[int, int], float] = {}
-    for src, dst in g.edges:
+    for src, dst in g.tx_nodes:
         entries[(int(src), int(dst))] = 1.0
         if symmetrize:
             entries[(int(dst), int(src))] = 1.0

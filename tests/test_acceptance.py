@@ -31,8 +31,11 @@ from helpers import (
     brute_force_metrics,
     dense_forward_oracle,
     finite_difference_check,
+    labels,
+    node_addresses,
     random_graph_instance,
     random_tx_dataset,
+    to_dense,
     tx_hash,
 )
 from test_features import INTEGER_FEATURES, oracle_implicit
@@ -61,7 +64,7 @@ def test_criterion_01_forward_matches_dense_oracle():
                 use_bias=bool(trial % 5 == 0),
             )
             sparse_probs, _ = forward(model, adj, X, training=False)
-            dense_probs = dense_forward_oracle(model, adj.to_dense(), X)
+            dense_probs = dense_forward_oracle(model, to_dense(adj), X)
             assert np.abs(sparse_probs - dense_probs).max() <= 1e-9
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -111,11 +114,11 @@ def test_criterion_04_implicit_features_match_brute_force():
             n_benign_addresses=800, n_phishing_addresses=200, seed=17
         )
         ds = generate_synthetic(cfg)
-        assert len(ds.labels) == 1000
+        assert len(labels(ds)) == 1000
         g = build_graph(ds)
         X = extract_implicit(ds, g)
         oracle = oracle_implicit(ds)
-        for node, a in enumerate(g.addresses):
+        for node, a in enumerate(node_addresses(ds, g)):
             for col, name in enumerate(IMPLICIT_FEATURE_NAMES):
                 got, want = X.rows[node, col], oracle[a][name]
                 if name in INTEGER_FEATURES:
@@ -318,14 +321,14 @@ def test_criterion_11_normalized_adjacency_contract():
         from helpers import dataset_from, make_tx
 
         g2 = build_graph(dataset_from([make_tx(1, addr(1), addr(2))]))
-        dense2 = normalized_adjacency(g2, add_self_loops=True, symmetrize=True).to_dense()
+        dense2 = to_dense(normalized_adjacency(g2, add_self_loops=True, symmetrize=True))
         assert np.allclose(dense2, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
         for seed in range(20):
             ds = random_tx_dataset(seed, n_addr=int(3 + seed % 8), n_tx=14)
             g = build_graph(ds)
             m = normalized_adjacency(g, add_self_loops=True, symmetrize=True)
-            dense = m.to_dense()
+            dense = to_dense(m)
             assert np.array_equal(dense, dense.T)
             radius = float(np.max(np.abs(np.linalg.eigvals(dense))))
             assert radius <= 1.0 + 1e-9

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -10,12 +11,14 @@ import numpy as np
 import pytest
 
 import phishgraph
+from phishgraph import cli
 from phishgraph.cli import main
+from phishgraph.errors import PipelineError
 from phishgraph.features import EXPLICIT_FEATURE_NAMES, IMPLICIT_FEATURE_NAMES
 from phishgraph.storage import load_dataset, save_dataset, sha256_file
 from phishgraph.txmodel import Label
 
-from helpers import addr, dataset_from, make_tx, tx_hash
+from helpers import addr, dataset_from, labels, labels_vector, make_tx, transactions, tx_hash
 
 HEADER = "blockNumber,timeStamp,hash,from,to,value,gas,gasPrice,gasUsed"
 
@@ -92,8 +95,8 @@ class TestIngest:
         )
         assert code == 0
         ds = load_dataset(out)
-        assert len(ds.transactions) == 4  # duplicate dropped
-        assert ds.labels[addr(2)] is Label.PHISHING
+        assert len(transactions(ds)) == 4  # duplicate dropped
+        assert labels(ds)[addr(2)] is Label.PHISHING
         clean_report = json.loads(Path(str(out) + ".clean.json").read_text())
         assert clean_report["clean"]["dup_dropped"] == 1
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
@@ -126,6 +129,19 @@ class TestIngest:
         )
         assert code == 2
         assert "bad.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--phishing-list", "--verified"])
+    def test_non_utf8_address_list_exits_2_naming_file(self, flag, ingest_files,
+                                                       tmp_path, capsys):
+        tx_file, plist = ingest_files
+        bad = tmp_path / "bad-list.txt"
+        bad.write_bytes(f"{addr(2)}\n".encode() + b"0x\xff\n")
+        argv = ["ingest", "--tx", str(tx_file), "--out", str(tmp_path / "ds.bin")]
+        for name, path in {"--phishing-list": plist, "--verified": plist, flag: bad}.items():
+            argv += [name, str(path)]
+        code = main(argv)
+        assert code == 2
+        assert "bad-list.txt" in assert_clean_error(capsys)
 
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         plist = tmp_path / "p.txt"
@@ -216,7 +232,7 @@ class TestSynth:
         out = tmp_path / "ds.bin"
         assert main(small_synth_args(out, phishing=0)) == 0
         ds = load_dataset(out)
-        assert all(lbl is Label.BENIGN for lbl in ds.labels.values())
+        assert all(lbl is Label.BENIGN for lbl in labels(ds).values())
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -518,7 +534,32 @@ class TestFetchCommand:
              "--out", str(ds_out)]
         )
         assert code == 0
-        assert len(load_dataset(ds_out).transactions) == 2
+        assert len(transactions(load_dataset(ds_out))) == 2
+
+    def test_persistent_rate_limit_with_http_date_exits_1(self, tmp_path, monkeypatch,
+                                                           capsys):
+        from test_fetch import MockEtherscan, ok
+
+        monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
+        server = MockEtherscan({1: ok([])}, fail_first_n_rate_limits=99,
+                               retry_after="Wed, 21 Oct 2015 07:28:00 GMT")
+        with server as url:
+            code = main(["fetch", "--address", str(addr(1)), "--endpoint", url,
+                         "--rate", "0", "--out", str(tmp_path / "txs.json")])
+        assert code == 1
+        assert "rate limit" in assert_clean_error(capsys)
+        assert len(server.requests) == 4  # the first request and three retries
+
+    def test_file_endpoint_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
+        secret = tmp_path / "secret.json"
+        secret.write_text('{"status": "1", "message": "OK", "result": []}')
+        out = tmp_path / "txs.json"
+        code = main(["fetch", "--address", str(addr(1)), "--endpoint", secret.as_uri(),
+                     "--rate", "0", "--out", str(out)])
+        assert code == 2
+        assert "http or https" in assert_clean_error(capsys)
+        assert not out.exists()
 
     def test_unreachable_endpoint_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
@@ -543,10 +584,10 @@ class TestStats:
         ds = load_dataset(ds_path)
         g = build_graph(ds)
         X = extract_implicit(ds, g)
-        labels = np.array([int(ds.labels[a]) for a in g.addresses])
+        node_labels = labels_vector(ds, g)
         # brute-force check of one cell: phishing mean of total_val_sent
         col = list(X.names).index("total_val_sent")
-        expected = X.rows[labels == 1, col].mean()
+        expected = X.rows[node_labels == 1, col].mean()
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         cell = [r for r in rows if r[0] == "total_val_sent" and r[1] == "phishing"][0]
         assert float(cell[3]) == pytest.approx(expected, rel=1e-12)
@@ -582,6 +623,41 @@ class TestStats:
         save_dataset(dataset_from([]), empty)
         code = main(["stats", "--dataset", str(empty), "--out", str(tmp_path / "s.csv")])
         assert code == 2
+
+
+def _error_classes():
+    found, todo = [], [PipelineError]
+    while todo:
+        cls = todo.pop()
+        found.append(cls)
+        todo.extend(cls.__subclasses__())
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+def _readme_exit_codes() -> dict[str, int]:
+    """Error class name -> code, from the README's exit-code table."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    codes = {}
+    for code, classes in re.findall(r"^\| (\d) \| [^|]+ \| ([^|]+) \|$", readme, re.M):
+        for name in re.findall(r"`(\w+)`", classes):
+            assert name not in codes, f"{name} listed twice"
+            codes[name] = int(code)
+    return codes
+
+
+@pytest.mark.parametrize("cls", _error_classes(), ids=lambda cls: cls.__name__)
+def test_error_exit_code_matches_readme(cls, monkeypatch, capsys):
+    """Each PipelineError class exits with the code the README gives it."""
+    documented = _readme_exit_codes()
+    assert cls.__name__ in documented, f"{cls.__name__} missing from the README table"
+    assert cls.exit_code == documented[cls.__name__]
+
+    def fail(args):
+        raise cls("planted failure")
+
+    monkeypatch.setattr(cli, "_cmd_stats", fail)
+    assert main(["stats", "--dataset", "x.bin", "--out", "x.csv"]) == cls.exit_code
+    assert "planted failure" in assert_clean_error(capsys)
 
 
 def test_traced_names_resolve():

@@ -19,7 +19,9 @@ from phishgraph.graph import build_graph
 from phishgraph.storage import load_dataset, save_dataset
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
 
-from helpers import addr, dataset_from, make_tx
+from helpers import (
+    addr, dataset_from, make_tx, node_addresses, node_of, row_addresses, transactions,
+)
 
 # --------------------------------------------------------------------------
 # Independent oracle: pure-Python statistics over datetime objects. This is
@@ -36,17 +38,18 @@ def oracle_weekend(ts: int) -> bool:
 
 
 def oracle_implicit(ds) -> dict:
+    addresses = row_addresses(ds)
     sent: dict = {}
     received: dict = {}
-    for a in ds.labels:
+    for a in addresses:
         sent[a] = []
         received[a] = []
-    for tx in ds.transactions:
+    for tx in transactions(ds):
         sent[tx.sender].append(tx)
         received[tx.receiver].append(tx)
 
     out = {}
-    for a in ds.labels:
+    for a in addresses:
         s, r = sent[a], received[a]
         s_ts = [t.timestamp for t in s]
         r_ts = [t.timestamp for t in r]
@@ -84,7 +87,7 @@ INTEGER_FEATURES = {"from_tx_cnt", "to_tx_cnt"}
 
 def assert_matches_oracle(ds, g, X):
     oracle = oracle_implicit(ds)
-    for node, a in enumerate(g.addresses):
+    for node, a in enumerate(node_addresses(ds, g)):
         for col, name in enumerate(IMPLICIT_FEATURE_NAMES):
             got = X.rows[node, col]
             want = oracle[a][name]
@@ -103,7 +106,7 @@ class TestExplicit:
         ds = dataset_from([make_tx(1, addr(1), addr(2), value=10**18)])
         g = build_graph(ds)
         X = extract_explicit(ds, g)
-        node = g.node_index[addr(1)]
+        node = node_of(ds, g, addr(1))
         assert X.names == EXPLICIT_FEATURE_NAMES
         assert X.rows[node, 1] == 1.0e18
 
@@ -116,7 +119,7 @@ class TestExplicit:
         )
         g = build_graph(ds)
         X = extract_explicit(ds, g)
-        assert X.rows[g.node_index[addr(1)], 4] == 42_000.0
+        assert X.rows[node_of(ds, g, addr(1)), 4] == 42_000.0
 
     def test_fixture_matches_brute_force(self):
         txs = [
@@ -132,7 +135,7 @@ class TestExplicit:
         ds = dataset_from(txs)
         g = build_graph(ds)
         X = extract_explicit(ds, g)
-        for node, a in enumerate(g.addresses):
+        for node, a in enumerate(node_addresses(ds, g)):
             incident = [t for t in txs if t.sender == a or t.receiver == a]
             expected = [
                 statistics.mean(t.timestamp for t in incident),
@@ -161,7 +164,7 @@ class TestImplicit:
         )
         g = build_graph(ds)
         X = extract_implicit(ds, g)
-        row = X.rows[g.node_index[addr(1)]]
+        row = X.rows[node_of(ds, g, addr(1))]
         names = list(IMPLICIT_FEATURE_NAMES)
         assert row[names.index("avg_time_bw_tx")] == 3600.0
         assert row[names.index("min_time_bw_tx")] == 3600.0
@@ -175,8 +178,8 @@ class TestImplicit:
         g = build_graph(ds)
         X = extract_implicit(ds, g)
         names = list(IMPLICIT_FEATURE_NAMES)
-        assert X.rows[g.node_index[addr(1)], names.index("wd_tx_ratio_sent")] == 1.0
-        assert X.rows[g.node_index[addr(2)], names.index("wd_tx_ratio_recd")] == 1.0
+        assert X.rows[node_of(ds, g, addr(1)), names.index("wd_tx_ratio_sent")] == 1.0
+        assert X.rows[node_of(ds, g, addr(2)), names.index("wd_tx_ratio_recd")] == 1.0
 
     def test_hours_one_and_three(self):
         day = 1_600_000_000 - (1_600_000_000 % 86_400)
@@ -189,7 +192,7 @@ class TestImplicit:
         g = build_graph(ds)
         X = extract_implicit(ds, g)
         names = list(IMPLICIT_FEATURE_NAMES)
-        row = X.rows[g.node_index[addr(1)]]
+        row = X.rows[node_of(ds, g, addr(1))]
         assert row[names.index("mean_hour_sent")] == 2.0
         assert row[names.index("std_hour_sent")] == 1.0  # population std
 
@@ -198,7 +201,7 @@ class TestImplicit:
         g = build_graph(ds)
         X = extract_implicit(ds, g)
         names = list(IMPLICIT_FEATURE_NAMES)
-        row = X.rows[g.node_index[addr(2)]]
+        row = X.rows[node_of(ds, g, addr(2))]
         for name in ("from_tx_cnt", "total_val_sent", "avg_gas_sent",
                      "mean_hour_sent", "std_hour_sent", "avg_time_bw_tx",
                      "wd_tx_ratio_sent"):
@@ -286,7 +289,7 @@ class TestExactColumns:
         g = build_graph(ds)
         X = extract_explicit(ds, g)
         fields = ("timestamp", "value", "gas", "gas_price", "gas_used")
-        for node, a in enumerate(g.addresses):
+        for node, a in enumerate(node_addresses(ds, g)):
             incident = [t for t in txs if a in (t.sender, t.receiver)]
             for col, name in enumerate(fields):
                 ints = [getattr(t, name) for t in incident]
@@ -298,7 +301,7 @@ class TestExactColumns:
         X = extract_implicit(ds, g)
         assert_matches_oracle(ds, g, X)
         names = list(IMPLICIT_FEATURE_NAMES)
-        for node, a in enumerate(g.addresses):
+        for node, a in enumerate(node_addresses(ds, g)):
             sent = [t for t in txs if t.sender == a]
             received = [t for t in txs if t.receiver == a]
             row = X.rows[node]

@@ -6,8 +6,9 @@ from urllib.parse import parse_qs, urlparse
 
 import pytest
 
-from phishgraph.errors import ApiError, NetworkError, RateLimited
-from phishgraph.fetch import fetch_address_history
+from phishgraph import fetch
+from phishgraph.errors import ApiError, InvalidConfig, NetworkError, RateLimited
+from phishgraph.fetch import MAX_RETRY_AFTER_S, fetch_address_history
 from phishgraph.txmodel import Address
 
 FROM_A = "0x" + "ab" * 20
@@ -29,11 +30,14 @@ def tx_entry(i: int, block: int) -> dict:
 
 
 class MockEtherscan:
-    """Serves scripted responses keyed by page number."""
+    """Serves scripted responses keyed by page number, each with the given
+    HTTP status and Retry-After header."""
 
-    def __init__(self, pages: dict[int, dict], fail_first_n_rate_limits: int = 0):
+    def __init__(self, pages: dict[int, dict], fail_first_n_rate_limits: int = 0,
+                 retry_after: str = "0.01", status: int = 200):
         self.pages = pages
         self.rate_limit_budget = fail_first_n_rate_limits
+        self.retry_after, self.status = retry_after, status
         self.requests: list[dict] = []
 
         server = self
@@ -58,9 +62,9 @@ class MockEtherscan:
                         page, {"status": "0", "message": "No transactions found", "result": []}
                     )
                 payload = json.dumps(body).encode()
-                self.send_response(200)
+                self.send_response(server.status)
                 self.send_header("Content-Type", "application/json")
-                self.send_header("Retry-After", "0.01")
+                self.send_header("Retry-After", server.retry_after)
                 self.send_header("Content-Length", str(len(payload)))
                 self.end_headers()
                 self.wfile.write(payload)
@@ -166,3 +170,46 @@ class TestFetch:
         assert params["address"] == FROM_A
         assert params["apikey"] == "secret"
         assert params["sort"] == "asc"
+
+    @pytest.mark.parametrize("status", [404, 503])
+    def test_http_error_status_raises_network_error(self, status):
+        with MockEtherscan({1: ok([tx_entry(1, 100)])}, status=status) as url:
+            with pytest.raises(NetworkError, match=str(status)):
+                fetch_address_history(Address(FROM_A), url, "key", requests_per_second=0)
+
+    def test_unparsable_endpoint_raises_network_error(self):
+        with pytest.raises(NetworkError):
+            fetch_address_history(Address(FROM_A), "http://[::1/api", "key",
+                                  requests_per_second=0)
+
+    @pytest.mark.parametrize("endpoint", ["file:///etc/hostname", "ftp://x/api", "x/api"])
+    def test_non_http_endpoint_is_invalid_config(self, endpoint):
+        with pytest.raises(InvalidConfig, match="http or https"):
+            fetch_address_history(Address(FROM_A), endpoint, "key", requests_per_second=0)
+
+    def test_endpoint_with_query_keeps_it(self):
+        server = MockEtherscan({1: ok([])})
+        with server as url:
+            fetch_address_history(Address(FROM_A), url + "?chainid=1", "key",
+                                  requests_per_second=0)
+        assert server.requests[0]["chainid"] == "1"
+        assert server.requests[0]["action"] == "txlist"
+
+    @pytest.mark.parametrize("header, wait", [
+        ("0.01", 0.01),
+        ("-1", 0.0),
+        ("nan", 1.0),
+        ("1e9", MAX_RETRY_AFTER_S),
+        ("soon", 1.0),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 0.0),   # an HTTP-date in the past
+        ("Fri, 01 Jan 2100 00:00:00 GMT", MAX_RETRY_AFTER_S),
+    ])
+    def test_retry_after_header_parsed_and_clamped(self, header, wait, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(fetch.time, "sleep", sleeps.append)
+        server = MockEtherscan({1: ok([tx_entry(1, 100)])}, fail_first_n_rate_limits=1,
+                               retry_after=header)
+        with server as url:
+            txs = fetch_address_history(Address(FROM_A), url, "key", requests_per_second=0)
+        assert len(txs) == 1 and len(server.requests) == 2
+        assert sleeps == [wait]

@@ -25,8 +25,12 @@ from helpers import (
     dataset_from,
     labels_vector,
     make_tx,
+    node_addresses,
+    node_of,
     normalized_adjacency_oracle,
     random_tx_dataset,
+    to_dense,
+    transactions,
 )
 
 
@@ -44,7 +48,7 @@ def power_iteration_radius(dense: np.ndarray, iters: int = 500) -> float:
 
 
 class TestBuildGraph:
-    def test_parallel_edges_collapse_with_counts(self):
+    def test_parallel_transfers_keep_one_pair_each(self):
         ds = dataset_from(
             [
                 make_tx(1, addr(1), addr(2)),
@@ -54,15 +58,14 @@ class TestBuildGraph:
         )
         g = build_graph(ds)
         assert g.n_nodes == 2
-        weights = {
-            (g.addresses[int(s)], g.addresses[int(d)]): int(w)
-            for (s, d), w in zip(g.edges, g.edge_weights)
-        }
-        assert weights == {(addr(1), addr(2)): 2, (addr(2), addr(1)): 1}
+        nodes = node_addresses(ds, g)
+        assert [(nodes[s], nodes[d]) for s, d in g.tx_nodes.tolist()] == [
+            (addr(1), addr(2)), (addr(1), addr(2)), (addr(2), addr(1)),
+        ]
 
     def test_empty_dataset(self):
         g = build_graph(dataset_from([]))
-        assert g.n_nodes == 0 and len(g.edges) == 0
+        assert g.n_nodes == 0 and g.tx_nodes.shape == (0, 2)
 
     def test_node_count_matches_brute_force_endpoints(self):
         ds = dataset_from(
@@ -73,13 +76,13 @@ class TestBuildGraph:
                 make_tx(4, addr(1), addr(5)),
             ]
         )
-        brute = {t.sender for t in ds.transactions} | {t.receiver for t in ds.transactions}
+        brute = {a for t in transactions(ds) for a in (t.sender, t.receiver)}
         assert build_graph(ds).n_nodes == len(brute) == 5
 
     def test_first_appearance_node_order(self):
         ds = dataset_from([make_tx(1, addr(7), addr(3)), make_tx(2, addr(3), addr(9))])
         g = build_graph(ds)
-        assert g.addresses == (addr(7), addr(3), addr(9))
+        assert node_addresses(ds, g) == (addr(7), addr(3), addr(9))
 
     def test_labels_follow_node_order(self):
         ds = random_tx_dataset(6, phishing_rate=0.4)
@@ -94,28 +97,28 @@ class TestBuildGraph:
         ds = random_tx_dataset(seed, n_addr=3 + seed, n_tx=4 * seed, phishing_rate=0.3)
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
-        addresses, edges, weights, labels = build_graph_oracle(ds)
+        addresses, tx_nodes, labels = build_graph_oracle(ds)
         for candidate in (ds, load_dataset(path)):
             g = build_graph(candidate)
-            assert g.addresses == addresses
-            assert g.edges.dtype == g.edge_weights.dtype == np.int64
-            assert np.array_equal(g.edges, edges)
-            assert np.array_equal(g.edge_weights, weights)
+            assert node_addresses(candidate, g) == addresses
+            assert g.tx_nodes.dtype == np.int64
+            assert np.array_equal(g.tx_nodes, tx_nodes)
             assert np.array_equal(g.labels, labels)
-            assert g.node_index == {a: i for i, a in enumerate(addresses)}
 
     def test_permutation_stable_up_to_relabeling(self):
         ds = random_tx_dataset(4)
         g1 = build_graph(ds)
-        txs = list(ds.transactions)
+        txs = list(transactions(ds))
         random.Random(9).shuffle(txs)
-        g2 = build_graph(dataset_from(txs))
-        canonical = lambda g: {
-            (g.addresses[int(s)], g.addresses[int(d)], int(w))
-            for (s, d), w in zip(g.edges, g.edge_weights)
-        }
-        assert canonical(g1) == canonical(g2)
-        assert set(g1.addresses) == set(g2.addresses)
+        shuffled = dataset_from(txs)
+        g2 = build_graph(shuffled)
+
+        def transfers(ds, g):
+            nodes = node_addresses(ds, g)
+            return sorted((nodes[s], nodes[d]) for s, d in g.tx_nodes.tolist())
+
+        assert transfers(ds, g1) == transfers(shuffled, g2)
+        assert set(node_addresses(ds, g1)) == set(node_addresses(shuffled, g2))
 
 
 class TestSparseMatrix:
@@ -132,14 +135,14 @@ class TestSparseMatrix:
         m = SparseMatrix.from_coo(
             2, 2, np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([2.0, 3.0, 1.0])
         )
-        assert np.array_equal(m.to_dense(), np.array([[0.0, 5.0], [1.0, 0.0]]))
+        assert np.array_equal(to_dense(m), np.array([[0.0, 5.0], [1.0, 0.0]]))
 
     def test_transpose(self):
         rng = np.random.default_rng(2)
         dense = np.where(rng.random((5, 3)) < 0.4, rng.normal(size=(5, 3)), 0.0)
         rows, cols = np.nonzero(dense)
         m = SparseMatrix.from_coo(5, 3, rows, cols, dense[rows, cols])
-        assert np.allclose(m.transpose().to_dense(), dense.T)
+        assert np.allclose(to_dense(m.transpose()), dense.T)
 
     def test_row_order_checked_in_every_row(self):
         # rows 0 and 2 are fine; row 1 repeats a column
@@ -149,7 +152,7 @@ class TestSparseMatrix:
             )
         # a column id that falls across a row boundary is not a violation
         m = SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([1, 2, 0]), np.ones(3))
-        assert np.array_equal(m.to_dense(), [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
+        assert np.array_equal(to_dense(m), [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
 
     def test_from_coo_rejects_out_of_range_coordinates(self):
         for rows, cols in (([2], [0]), ([0], [2]), ([-1], [0])):
@@ -161,7 +164,7 @@ class TestSparseMatrix:
                                   np.array([1.0, 2.0, 3.0]))
         t = m.transpose()
         assert (t.n_rows, t.n_cols, t.nnz) == (2, 4, 3)
-        assert np.array_equal(t.to_dense(), m.to_dense().T)
+        assert np.array_equal(to_dense(t), to_dense(m).T)
 
 
 class TestSpmv:
@@ -201,19 +204,19 @@ class TestNormalizedAdjacency:
     def test_single_node_with_self_loop(self):
         g = build_graph(dataset_from([make_tx(1, addr(1), addr(1))]))
         # the self-transfer contributes an edge on the diagonal on top of the loop
-        assert np.allclose(normalized_adjacency(g).to_dense(), [[1.0]])
+        assert np.allclose(to_dense(normalized_adjacency(g)), [[1.0]])
 
     def test_two_node_worked_example(self):
         g = build_graph(dataset_from([make_tx(1, addr(1), addr(2))]))
-        dense = normalized_adjacency(g, add_self_loops=True, symmetrize=True).to_dense()
+        dense = to_dense(normalized_adjacency(g, add_self_loops=True, symmetrize=True))
         assert np.allclose(dense, [[0.5, 0.5], [0.5, 0.5]], atol=1e-12)
 
     def test_isolated_node_without_self_loops_gives_zero_row(self):
         # node 3 only receives, so with symmetrize off and loops off its row is zero
         ds = dataset_from([make_tx(1, addr(1), addr(2)), make_tx(2, addr(1), addr(3))])
         g = build_graph(ds)
-        dense = normalized_adjacency(g, add_self_loops=False, symmetrize=False).to_dense()
-        receiver_row = dense[g.node_index[addr(3)]]
+        dense = to_dense(normalized_adjacency(g, add_self_loops=False, symmetrize=False))
+        receiver_row = dense[node_of(ds, g, addr(3))]
         assert np.all(receiver_row == 0.0)
         assert np.all(np.isfinite(dense))
 
@@ -223,15 +226,15 @@ class TestNormalizedAdjacency:
         # few addresses and many transfers: parallel, reciprocal and self edges
         for seed in range(12):
             g = build_graph(random_tx_dataset(seed, n_addr=6, n_tx=30))
-            src, dst = g.edges[:, 0], g.edges[:, 1]
-            pairs = set(zip(src.tolist(), dst.tolist()))
+            transfers = list(map(tuple, g.tx_nodes.tolist()))
+            pairs = set(transfers)
             if seed == 0:
-                assert (g.edge_weights > 1).any()
+                assert len(pairs) < len(transfers)  # a parallel transfer
                 assert any(s == d for s, d in pairs)
                 assert any((d, s) in pairs for s, d in pairs if s != d)
-            got = normalized_adjacency(
+            got = to_dense(normalized_adjacency(
                 g, add_self_loops=add_self_loops, symmetrize=symmetrize
-            ).to_dense()
+            ))
             want = normalized_adjacency_oracle(g, add_self_loops, symmetrize)
             # same products in the same order, so equal to the last bit
             assert np.array_equal(got, want)
@@ -243,13 +246,13 @@ class TestNormalizedAdjacency:
     def test_symmetric_when_requested(self):
         for seed in range(5):
             g = build_graph(random_tx_dataset(seed))
-            dense = normalized_adjacency(g, symmetrize=True).to_dense()
+            dense = to_dense(normalized_adjacency(g, symmetrize=True))
             assert np.array_equal(dense, dense.T)
 
     def test_row_sums_bounded_by_sqrt_degree(self):
         g = build_graph(random_tx_dataset(11, n_addr=10, n_tx=25))
         m = normalized_adjacency(g)
-        dense = m.to_dense()
+        dense = to_dense(m)
         binary = dense > 0
         degree = binary.sum(axis=1)  # degree of A~ counted on the support
         row_sums = dense.sum(axis=1)
@@ -259,7 +262,7 @@ class TestNormalizedAdjacency:
     def test_spectral_radius_at_most_one(self):
         for seed in range(20):
             g = build_graph(random_tx_dataset(seed, n_addr=7, n_tx=12))
-            dense = normalized_adjacency(g).to_dense()
+            dense = to_dense(normalized_adjacency(g))
             eig_radius = float(np.max(np.abs(np.linalg.eigvals(dense))))
             power_radius = power_iteration_radius(dense)
             assert eig_radius <= 1.0 + 1e-9

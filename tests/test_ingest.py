@@ -23,7 +23,7 @@ from phishgraph.ingest import (
 )
 from phishgraph.txmodel import Label, LabelProvenance
 
-from helpers import addr, make_tx, tx_hash
+from helpers import addr, labels, make_tx, provenance, transactions, tx_hash
 
 HEADER = "blockNumber,timeStamp,hash,from,to,value,gas,gasPrice,gasUsed"
 HASH_A = "0x" + "aa" * 32
@@ -262,6 +262,15 @@ class TestPhishingList:
         assert plist.addresses == {addr(1), addr(2), addr(3)}
         assert plist.verified == {addr(3)}
 
+    @pytest.mark.parametrize("which", ["listed", "verified"])
+    def test_non_utf8_file_is_malformed_naming_it(self, which, tmp_path):
+        files = {name: tmp_path / f"{name}.txt" for name in ("listed", "verified")}
+        for path in files.values():
+            path.write_text(f"{addr(1)}\n")
+        files[which].write_bytes(f"{addr(2)}\n".encode() + b"0x\xff\n")
+        with pytest.raises(MalformedDocument, match=f"{which}.txt"):
+            PhishingList.from_files(files["listed"], files["verified"])
+
 
 class TestLabelDataset:
     def plist(self, *listed, verified=()):
@@ -273,34 +282,34 @@ class TestLabelDataset:
     def test_listed_sender_flags_transaction(self):
         tx = make_tx(1, addr(1), addr(2))
         ds = label_dataset([tx], self.plist(addr(1)))
-        assert ds.labels[addr(1)] is Label.PHISHING
-        assert ds.labels[addr(2)] is Label.BENIGN
-        assert ds.provenance[addr(2)] is LabelProvenance.ONE_HOP_PHISHING
+        assert labels(ds)[addr(1)] is Label.PHISHING
+        assert labels(ds)[addr(2)] is Label.BENIGN
+        assert provenance(ds)[addr(2)] is LabelProvenance.ONE_HOP_PHISHING
 
     def test_unlisted_pair_is_benign(self):
         tx = make_tx(1, addr(1), addr(2))
         ds = label_dataset([tx], self.plist(addr(9)))
-        assert ds.labels[addr(1)] is ds.labels[addr(2)] is Label.BENIGN
-        assert ds.provenance[addr(1)] is LabelProvenance.ASSUMED_BENIGN
+        assert labels(ds)[addr(1)] is labels(ds)[addr(2)] is Label.BENIGN
+        assert provenance(ds)[addr(1)] is LabelProvenance.ASSUMED_BENIGN
 
     def test_require_verified_gates_unverified_listing(self):
         tx = make_tx(1, addr(1), addr(2))
         ds = label_dataset([tx], self.plist(addr(1)), require_verified=True)
-        assert ds.labels[addr(1)] is Label.BENIGN
-        assert ds.provenance[addr(1)] is LabelProvenance.LISTED_PHISHING
+        assert labels(ds)[addr(1)] is Label.BENIGN
+        assert provenance(ds)[addr(1)] is LabelProvenance.LISTED_PHISHING
 
     def test_verified_survives_gate(self):
         tx = make_tx(1, addr(1), addr(2))
         ds = label_dataset([tx], self.plist(verified=[addr(1)]), require_verified=True)
-        assert ds.labels[addr(1)] is Label.PHISHING
-        assert ds.provenance[addr(1)] is LabelProvenance.VERIFIED_PHISHING
+        assert labels(ds)[addr(1)] is Label.PHISHING
+        assert provenance(ds)[addr(1)] is LabelProvenance.VERIFIED_PHISHING
 
     def test_empty_list_warns_and_labels_benign(self, caplog):
         tx = make_tx(1, addr(1), addr(2))
         with caplog.at_level("WARNING"):
             ds = label_dataset([tx], PhishingList(frozenset()))
         assert "empty" in caplog.text
-        assert all(lbl is Label.BENIGN for lbl in ds.labels.values())
+        assert all(lbl is Label.BENIGN for lbl in labels(ds).values())
 
     def test_order_independent(self):
         rng = random.Random(5)
@@ -310,10 +319,10 @@ class TestLabelDataset:
         shuffled = txs[:]
         rng.shuffle(shuffled)
         permuted = label_dataset(shuffled, plist)
-        assert dict(base.labels) == dict(permuted.labels)
-        assert dict(base.provenance) == dict(permuted.provenance)
-        assert sorted(t.tx_hash for t in base.transactions) == sorted(
-            t.tx_hash for t in permuted.transactions
+        assert labels(base) == labels(permuted)
+        assert provenance(base) == provenance(permuted)
+        assert sorted(t.tx_hash for t in transactions(base)) == sorted(
+            t.tx_hash for t in transactions(permuted)
         )
 
     def test_flag_is_disjunction_of_endpoint_labels(self):
@@ -321,10 +330,11 @@ class TestLabelDataset:
         txs = [make_tx(i, addr(rng.randrange(10)), addr(rng.randrange(10))) for i in range(50)]
         listed = {addr(1), addr(4)}
         ds = label_dataset(txs, self.plist(*listed))
-        assert ds.transactions == tuple(txs)
+        assert transactions(ds) == tuple(txs)
+        by_address = labels(ds)
         for tx in txs:
             ends = {tx.sender, tx.receiver}
-            flag = any(ds.labels[a] is Label.PHISHING for a in ends)
+            flag = any(by_address[a] is Label.PHISHING for a in ends)
             assert flag == bool(ends & listed)
 
     @pytest.mark.parametrize("require_verified", [False, True])
@@ -337,16 +347,16 @@ class TestLabelDataset:
         phishing = verified if require_verified else listed
         contacts = {a for tx in txs if {tx.sender, tx.receiver} & phishing
                     for a in (tx.sender, tx.receiver)}
-        labels, provenance = {}, {}
+        want_labels, want_provenance = {}, {}
         for a in {a for tx in txs for a in (tx.sender, tx.receiver)}:
-            labels[a] = Label.PHISHING if a in phishing else Label.BENIGN
+            want_labels[a] = Label.PHISHING if a in phishing else Label.BENIGN
             if a in verified:
-                provenance[a] = LabelProvenance.VERIFIED_PHISHING
+                want_provenance[a] = LabelProvenance.VERIFIED_PHISHING
             elif a in listed:
-                provenance[a] = LabelProvenance.LISTED_PHISHING
+                want_provenance[a] = LabelProvenance.LISTED_PHISHING
             elif a in contacts:
-                provenance[a] = LabelProvenance.ONE_HOP_PHISHING
+                want_provenance[a] = LabelProvenance.ONE_HOP_PHISHING
             else:
-                provenance[a] = LabelProvenance.ASSUMED_BENIGN
-        assert ds.labels == labels
-        assert ds.provenance == provenance
+                want_provenance[a] = LabelProvenance.ASSUMED_BENIGN
+        assert labels(ds) == want_labels
+        assert provenance(ds) == want_provenance

@@ -9,7 +9,7 @@ from phishgraph.features import extract_explicit, extract_implicit
 from phishgraph.graph import build_graph
 from phishgraph.storage import load_dataset, save_dataset
 
-from helpers import addr, dataset_from, make_tx
+from helpers import addr, dataset_from, make_tx, transactions
 
 # three transactions over four addresses, one of them a self-transfer
 TXS = [
@@ -29,7 +29,7 @@ def saved(tmp_path_factory):
 
 def test_round_trip_keeps_every_field(saved):
     ds = load_dataset(saved)
-    assert ds.transactions == tuple(TXS)
+    assert transactions(ds) == tuple(TXS)
     assert ds.class_counts() == (3, 1)
     again = saved.with_name("again.bin")
     save_dataset(ds, again)

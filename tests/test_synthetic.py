@@ -6,17 +6,20 @@ from phishgraph.storage import load_dataset, save_dataset
 from phishgraph.synthetic import WINDOW_END, SyntheticConfig, generate_synthetic
 from phishgraph.txmodel import Label, LabelProvenance
 
+from helpers import labels, provenance, transactions
+
 SMALL = SyntheticConfig(n_benign_addresses=40, n_phishing_addresses=10, seed=7)
 
 
 def class_value_means(ds):
     """Independent per-class mean of total wei sent, straight off the transactions."""
-    sent: dict = {a: 0 for a in ds.labels}
-    for tx in ds.transactions:
+    by_address = labels(ds)
+    sent: dict = {a: 0 for a in by_address}
+    for tx in transactions(ds):
         sent[tx.sender] += tx.value
     by_class = {Label.BENIGN: [], Label.PHISHING: []}
     for a, total in sent.items():
-        by_class[ds.labels[a]].append(total)
+        by_class[by_address[a]].append(total)
     return {
         lbl: (sum(vals) / len(vals) if vals else 0.0)
         for lbl, vals in by_class.items()
@@ -42,28 +45,27 @@ class TestDeterminism:
         path = tmp_path / "ds.bin"
         save_dataset(ds, path)
         loaded = load_dataset(path)
-        assert loaded.transactions == ds.transactions
-        assert dict(loaded.labels) == dict(ds.labels)
-        assert dict(loaded.provenance) == dict(ds.provenance)
+        assert transactions(loaded) == transactions(ds)
+        assert labels(loaded) == labels(ds)
+        assert provenance(loaded) == provenance(ds)
 
 
 class TestGeneratedShape:
     def test_no_phishing_means_all_benign(self):
         cfg = SyntheticConfig(n_benign_addresses=30, n_phishing_addresses=0, seed=1)
         ds = generate_synthetic(cfg)
-        assert all(lbl is Label.BENIGN for lbl in ds.labels.values())
+        assert all(lbl is Label.BENIGN for lbl in labels(ds).values())
 
     def test_counts_and_provenance(self):
         ds = generate_synthetic(SMALL)
         benign, phishing = ds.class_counts()
         assert (benign, phishing) == (40, 10)
-        assert all(p is LabelProvenance.SYNTHETIC for p in ds.provenance.values())
+        assert all(p is LabelProvenance.SYNTHETIC for p in provenance(ds).values())
 
     def test_every_address_appears_in_a_transaction(self):
         ds = generate_synthetic(SMALL)
-        endpoints = {tx.sender for tx in ds.transactions}
-        endpoints |= {tx.receiver for tx in ds.transactions}
-        assert endpoints == set(ds.labels)
+        endpoints = {a for tx in transactions(ds) for a in (tx.sender, tx.receiver)}
+        assert endpoints == set(labels(ds))
 
 
 class TestPlantedBehavior:
@@ -74,29 +76,32 @@ class TestPlantedBehavior:
     def test_burst_confined_to_configured_hours(self):
         ds = generate_synthetic(SMALL)
         h_lo, h_hi = SMALL.phishing_burst_hour_range
-        for tx in ds.transactions:
-            if ds.labels[tx.sender] is Label.PHISHING:
+        by_address = labels(ds)
+        for tx in transactions(ds):
+            if by_address[tx.sender] is Label.PHISHING:
                 assert h_lo <= hour_of_day(tx.timestamp) < h_hi
 
     def test_dormancy_respected(self):
         ds = generate_synthetic(SMALL)
         window_start = WINDOW_END - SMALL.window_days * 86_400
         earliest_allowed = window_start + SMALL.phishing_dormancy_days * 86_400
-        for tx in ds.transactions:
-            if ds.labels[tx.sender] is Label.PHISHING:
+        by_address = labels(ds)
+        for tx in transactions(ds):
+            if by_address[tx.sender] is Label.PHISHING:
                 assert tx.timestamp >= earliest_allowed
 
     def test_phishing_gaps_shorter_than_benign(self):
         ds = generate_synthetic(SMALL)
         sent: dict = {}
-        for tx in ds.transactions:
+        by_address = labels(ds)
+        for tx in transactions(ds):
             sent.setdefault(tx.sender, []).append(tx.timestamp)
         gaps = {Label.BENIGN: [], Label.PHISHING: []}
         for a, ts in sent.items():
             ts = sorted(ts)
             if len(ts) >= 2:
                 diffs = [b - c for b, c in zip(ts[1:], ts)]
-                gaps[ds.labels[a]].append(sum(diffs) / len(diffs))
+                gaps[by_address[a]].append(sum(diffs) / len(diffs))
         mean = lambda xs: sum(xs) / len(xs)
         assert mean(gaps[Label.PHISHING]) < mean(gaps[Label.BENIGN])
 

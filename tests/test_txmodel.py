@@ -6,7 +6,7 @@ from phishgraph.errors import InvalidAddress, InvalidNumeral, InvalidTransaction
 from phishgraph.ingest import clean
 from phishgraph.txmodel import Address, Label, parse_wei
 
-from helpers import addr, dataset_from, make_tx
+from helpers import addr, dataset_from, labels, make_tx
 
 
 class TestCanonicalizeAddress:
@@ -116,9 +116,9 @@ class TestLabeledDataset:
             make_tx(3, addr(3), addr(4)),
         ]
         ds = dataset_from(txs, phishing=[addr(2)])
+        by_address = labels(ds)
         expected = [
-            ds.labels[t.sender] is Label.PHISHING
-            or ds.labels[t.receiver] is Label.PHISHING
+            by_address[t.sender] is Label.PHISHING or by_address[t.receiver] is Label.PHISHING
             for t in txs
         ]
         assert expected == [True, True, False]
