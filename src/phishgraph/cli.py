@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,16 +41,10 @@ from .ingest import (
     parse_etherscan_json,
 )
 from .stats import ForestConfig, class_feature_stats, feature_importance, train_forest, write_importance
-from .storage import load_dataset, save_dataset, sha256_file
+from .storage import load_dataset, save_dataset, sha256_file, write_json
 from .synthetic import SyntheticConfig, generate_synthetic
 
 FEATURE_SETS = ("explicit", "implicit", "both")
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
 
 
 def _write_manifest(
@@ -72,7 +67,7 @@ def _write_manifest(
     if seeds is not None:
         manifest["seeds"] = seeds
     path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(path, manifest)
+    write_json(path, manifest)
 
 
 def _extract(ds, g, feature_set: str):
@@ -133,7 +128,7 @@ def _cmd_ingest(args) -> int:
     plist = PhishingList.from_files(args.phishing_list, args.verified)
     ds = label_dataset(cleaned, plist, require_verified=args.require_verified)
     save_dataset(ds, out)
-    _write_json(
+    write_json(
         Path(str(out) + ".clean.json"),
         {"clean": report.to_json(), "parse": reject_sections},
     )
@@ -169,7 +164,7 @@ def _cmd_synth(args) -> int:
         Path(str(out) + ".manifest.json"),
         "synth",
         [args.config] if args.config else [],
-        cfg.to_json(),
+        asdict(cfg),
         [out.name],
         seeds={"generator": cfg.seed},
     )
@@ -226,7 +221,7 @@ def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict
             "fit_all": bool(args.fit_all),
             "add_self_loops": not args.no_self_loops,
             "symmetrize": not args.no_symmetrize,
-            "gcn": cfg.to_json(),
+            "gcn": asdict(cfg),
         },
         ["model.bin", "model.bin.json", "metrics.json", "report.txt"],
         seeds={"split": args.split_seed, "train": args.train_seed},
@@ -276,7 +271,7 @@ def _cmd_compare(args) -> int:
             - results["explicit"]["weighted"]["f1"]
         ),
     }
-    _write_json(out_dir / "comparison.json", {**results, "delta": deltas})
+    write_json(out_dir / "comparison.json", {**results, "delta": deltas})
     print(
         f"implicit - explicit: phishing recall {deltas['phishing_recall']:+.2f}, "
         f"weighted F1 {deltas['weighted_f1']:+.2f}"
@@ -324,7 +319,7 @@ def _cmd_fetch(args) -> int:
     # re-emit the explorer envelope (string-typed numerics) so the result
     # feeds straight back into `ingest --tx`
     entries = [dict(zip(EXPLORER_COLUMNS, map(str, tx))) for tx in txs]
-    _write_json(out, {"status": "1", "message": "OK", "result": entries})
+    write_json(out, {"status": "1", "message": "OK", "result": entries})
     print(f"fetched {len(txs)} transactions for {args.address} -> {out}")
     return 0
 
@@ -346,14 +341,9 @@ def _cmd_importance(args) -> int:
         Path(str(out) + ".manifest.json"),
         "importance",
         [args.dataset],
-        {
-            "feature_set": args.feature_set,
-            "n_trees": cfg.n_trees,
-            "max_depth": cfg.max_depth,
-            "feature_subsample": cfg.feature_subsample,
-            "min_leaf": cfg.min_leaf,
-            "balanced": cfg.balanced,
-        },
+        # the forest seed is recorded under seeds
+        {"feature_set": args.feature_set,
+         **{k: v for k, v in asdict(cfg).items() if k != "seed"}},
         [out.name],
         seeds={"forest": cfg.seed},
     )

@@ -9,14 +9,14 @@ rounded to two decimals only in the human-readable table.
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import EmptyMask, InvalidConfig, ShapeMismatch
+from .storage import write_json
 
 _CLASSES = ("benign", "phishing")
 
@@ -35,11 +35,14 @@ def stratified_split(
     """Shuffle within each class and cut at floor(ratio * class size).
 
     The remainder goes to test, so per-class proportions deviate from the
-    ratio by at most one element.
+    ratio by at most one element. A split that leaves either side without an
+    address is an ``EmptyMask``.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if not 0.0 < ratio < 1.0:
         raise ShapeMismatch(f"split ratio must lie in (0, 1), got {ratio}")
+    if seed < 0:
+        raise InvalidConfig(f"split seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     train = np.zeros(len(labels), dtype=bool)
     test = np.zeros(len(labels), dtype=bool)
@@ -52,6 +55,12 @@ def stratified_split(
         cut = int(math.floor(ratio * members.size + 1e-9))
         train[shuffled[:cut]] = True
         test[shuffled[cut:]] = True
+    for side, mask in (("train", train), ("test", test)):
+        if not mask.any():
+            raise EmptyMask(
+                f"split ratio {ratio} leaves the {side} side of {len(labels)} "
+                "addresses empty"
+            )
     return SplitMasks(train_mask=train, test_mask=test, seed=seed, ratio=ratio)
 
 
@@ -205,9 +214,7 @@ def emit_report(
 
     json_path = out_dir / "metrics.json"
     text_path = out_dir / "report.txt"
-    json_path.write_text(
-        json.dumps(document, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(json_path, document)
     text = format_metrics_table(metrics_report) if metrics_report is not None else ""
     text_path.write_text(text, encoding="utf-8")
     return json_path, text_path

@@ -20,9 +20,8 @@ gradient descent available for gradient checking.
 """
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +29,7 @@ import numpy as np
 from .errors import ClassAbsent, InvalidConfig, ShapeMismatch, TrainingDiverged
 from .evaluate import MetricsReport, confusion, metrics
 from .graph import GraphBatch, SparseMatrix, spmv
+from .storage import write_json
 
 MODEL_MAGIC = b"PHGM"
 MODEL_VERSION = 1
@@ -76,22 +76,6 @@ class GcnConfig:
             raise InvalidConfig("threshold must lie in (0, 1)")
         if self.seed < 0:
             raise InvalidConfig("seed must be non-negative")
-
-    def to_json(self) -> dict:
-        return {
-            "hidden_dims": list(self.hidden_dims),
-            "dropout_rate": self.dropout_rate,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "weight_mode": self.weight_mode,
-            "manual_weights": (
-                list(self.manual_weights) if self.manual_weights else None
-            ),
-            "seed": self.seed,
-            "optimizer": self.optimizer,
-            "threshold": self.threshold,
-            "use_bias": self.use_bias,
-        }
 
 
 @dataclass
@@ -352,16 +336,8 @@ class TrainReport:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "losses": self.losses,
-            "losses_mean": self.losses_mean,
-            "train_accuracy": self.train_accuracy,
-            "train_weighted_f1": self.train_weighted_f1,
-            "final_test": None if self.final_test is None else self.final_test.to_dict(),
-            "class_weights": list(self.class_weights),
-            "config": self.config,
-            "seed": self.seed,
-        }
+        final = None if self.final_test is None else self.final_test.to_dict()
+        return {**asdict(self), "final_test": final}
 
 
 def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
@@ -379,7 +355,7 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
         else GradientDescentState(cfg.learning_rate)
     )
     report = TrainReport(
-        class_weights=w_pair, config=cfg.to_json(), seed=cfg.seed
+        class_weights=w_pair, config=asdict(cfg), seed=cfg.seed
     )
     n_train = int(batch.train_mask.sum())
     # A run that overflows is reported by the non-finite loss check, as
@@ -406,14 +382,13 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
             )
             optimizer.step(model, grads_w, grads_b)
             # train metrics come from a clean inference pass on the updated
-            # weights, so the last entry describes the returned model
+            # weights, so the last pass also scores the returned model on test
             pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)
             epoch_metrics = metrics(confusion(pred, batch.labels, batch.train_mask))
             report.train_accuracy.append(epoch_metrics.accuracy)
             report.train_weighted_f1.append(epoch_metrics.weighted_f1)
 
     if batch.test_mask.any():
-        pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)
         report.final_test = metrics(confusion(pred, batch.labels, batch.test_mask))
     return model, report
 
@@ -461,12 +436,8 @@ def save_model(
         for b in model.biases:
             parts.append(np.ascontiguousarray(b).tobytes())
     Path(path).write_bytes(b"".join(parts))
-    sidecar = {
-        "config": config.to_json(),
-        "seed": config.seed,
-        "feature_names": list(feature_names),
-    }
-    Path(str(path) + ".json").write_text(
-        json.dumps(sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    write_json(
+        str(path) + ".json",
+        {"config": asdict(config), "seed": config.seed, "feature_names": list(feature_names)},
     )
 

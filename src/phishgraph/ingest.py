@@ -18,7 +18,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Sequence, Union
 
@@ -83,10 +83,7 @@ class ParseResult:
         return {
             "parsed": len(self.transactions),
             "rejected": len(self.rejects),
-            "rows": [
-                {"row": r.row, "reason": r.reason, "detail": r.detail}
-                for r in self.rejects
-            ],
+            "rows": [asdict(r) for r in self.rejects],
         }
 
 

@@ -17,7 +17,6 @@ column cannot change the ranking.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch, SingleClass
 from .features import FeatureMatrix
+from .storage import write_json
 
 _CLASS_NAMES = ("benign", "phishing")
 
@@ -104,6 +104,8 @@ class ForestConfig:
             raise InvalidConfig("max_depth must be positive")
         if self.min_leaf < 1:
             raise InvalidConfig("min_leaf must be positive")
+        if self.seed < 0:
+            raise InvalidConfig(f"forest seed must be non-negative, got {self.seed}")
         k = self.resolved_subsample(n_features)
         if not 1 <= k <= n_features:
             raise InvalidConfig("feature_subsample out of range")
@@ -369,6 +371,4 @@ def write_importance(ranking: list[tuple[str, float]], path: str | Path) -> None
         {"feature": name, "score": score, "rank": i + 1}
         for i, (name, score) in enumerate(ranking)
     ]
-    Path(path).write_text(
-        json.dumps(entries, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    write_json(path, entries)

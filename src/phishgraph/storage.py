@@ -19,11 +19,14 @@ is one ``np.frombuffer`` per section plus column checks, and saving writes
 the arrays as they are. Values are stored as 256-bit integers so wei
 amounts round-trip exactly.
 Serialization is deterministic: the same dataset always produces the same
-bytes, which is what makes artifact digests reproducible.
+bytes, which is what makes artifact digests reproducible. ``write_json`` gives
+every JSON artifact (manifests, model sidecar, metrics, reports) one format
+for the same reason.
 """
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from pathlib import Path
 
@@ -98,3 +101,10 @@ def sha256_file(path: str | Path) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write ``payload`` with a two-space indent, sorted keys and a final newline."""
+    Path(path).write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )

@@ -134,30 +134,6 @@ class SyntheticConfig:
         if not 0.0 <= self.phishing_high_value_fraction <= 1.0:
             raise InvalidConfig("high-value fraction must lie in [0, 1]")
 
-    def to_json(self) -> dict:
-        return {
-            "n_benign_addresses": self.n_benign_addresses,
-            "n_phishing_addresses": self.n_phishing_addresses,
-            "tx_per_address_range": list(self.tx_per_address_range),
-            "benign_peer_count_range": list(self.benign_peer_count_range),
-            "phishing_victim_tx_range": list(self.phishing_victim_tx_range),
-            "phishing_burst_tx_range": list(self.phishing_burst_tx_range),
-            "phishing_mule_count_range": list(self.phishing_mule_count_range),
-            "phishing_mule_pool_size": self.phishing_mule_pool_size,
-            "phishing_high_value_fraction": self.phishing_high_value_fraction,
-            "phishing_burst_hour_range": list(self.phishing_burst_hour_range),
-            "phishing_dormancy_days": self.phishing_dormancy_days,
-            "window_days": self.window_days,
-            "benign_value_log_mu": self.benign_value_log_mu,
-            "benign_value_log_sigma": self.benign_value_log_sigma,
-            "phishing_value_log_mu": self.phishing_value_log_mu,
-            "phishing_value_log_sigma": self.phishing_value_log_sigma,
-            "benign_gas_price_log_mu": self.benign_gas_price_log_mu,
-            "phishing_gas_price_log_mu": self.phishing_gas_price_log_mu,
-            "gas_price_log_sigma": self.gas_price_log_sigma,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_json(cls, payload: dict) -> "SyntheticConfig":
         if not isinstance(payload, dict):

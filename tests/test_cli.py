@@ -405,6 +405,26 @@ class TestRun:
         assert code == 2
         assert_clean_error(capsys)
 
+    @pytest.mark.parametrize(
+        "flags, side",
+        [
+            (["--ratio", "0.99999999999"], "test"),
+            (["--ratio", "0.01", "--fit-all", "--weight-mode", "uniform"], "train"),
+        ],
+    )
+    def test_split_with_an_empty_side_exits_2(self, flags, side, tmp_path, capsys):
+        """A ratio that rounds one side of the split to no address stops
+        before training, with only the manifest written."""
+        ds_path = tmp_path / "ds.bin"
+        assert main(small_synth_args(ds_path, seed=3, benign=40, phishing=10)) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        code = main(["run", "--dataset", str(ds_path), "--features", "implicit",
+                     "--out-dir", str(out_dir), "--epochs", "3", *flags])
+        assert code == 2
+        assert f"{side} side" in assert_clean_error(capsys)
+        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+
     def test_diverging_training_exits_3(self, tmp_path, capsys):
         ds_path = tmp_path / "ds.bin"
         assert main(small_synth_args(ds_path, seed=1, benign=100, phishing=25)) == 0
@@ -632,6 +652,53 @@ def _error_classes():
         found.append(cls)
         todo.extend(cls.__subclasses__())
     return sorted(found, key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--features", "implicit", "--out-dir", "out", "--split-seed", "-1"],
+        ["compare", "--out-dir", "out", "--split-seed", "-1"],
+        ["importance", "--out", "imp.json", "--seed", "-1"],
+    ],
+    ids=["run", "compare", "importance"],
+)
+def test_negative_seed_exits_2(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(small_synth_args("ds.bin", seed=3, benign=40, phishing=10)) == 0
+    capsys.readouterr()
+    assert main([*argv, "--dataset", "ds.bin"]) == 2
+    assert "non-negative" in assert_clean_error(capsys)
+
+
+def test_pinned_json_artifact_digests(tmp_path, monkeypatch):
+    """Every JSON artifact whose bytes do not depend on BLAS arithmetic is
+    fixed byte for byte: the synth, run, importance and stats manifests, the
+    model sidecar and the importance ranking. metrics.json and
+    comparison.json hold GCN floats and are left out."""
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.json").write_text(json.dumps({
+        "n_benign_addresses": 40, "n_phishing_addresses": 10, "seed": 11,
+        "tx_per_address_range": [2, 6], "phishing_high_value_fraction": 0.9,
+    }))
+    assert main(["synth", "--config", "cfg.json", "--out", "ds.bin"]) == 0
+    assert main(["run", "--dataset", "ds.bin", "--features", "both", "--out-dir", "run",
+                 "--epochs", "2", "--hidden-dims", "8", "--weight-mode", "manual",
+                 "--manual-weights", "1,3.5"]) == 0
+    assert main(["importance", "--dataset", "ds.bin", "--feature-set", "both",
+                 "--trees", "5", "--out", "imp.json"]) == 0
+    assert main(["stats", "--dataset", "ds.bin", "--out", "stats.csv"]) == 0
+    pinned = {
+        "ds.bin.manifest.json": "296d3ebc7ab6883f7c568d7598ad942c943c11bb2eeea95aaa15966059074e6e",
+        "run/manifest.json": "609f66e17e0d8a79e84e246e8a4f27eaa95925db4793621861907a86c40e9523",
+        "run/model.bin.json": "996ef18cbcc755d6ca47d875ca8cf9f3cfee1ee344ac50005851e16ea2c5fa18",
+        "imp.json": "3ea3bdf71cc762c0dcfb59f2b92a0ecd9309e594297de932be630eef6ac33649",
+        "imp.json.manifest.json":
+            "9b75a3af965b5c2ab2ba3a9cdd6893919aadbd7def604bffb54d2756a501ac10",
+        "stats.csv.manifest.json":
+            "e17343db687658b457ae402a0c96139dcebf43341f42bc1d9e6d40a239499050",
+    }
+    assert {name: sha256_file(name) for name in pinned} == pinned
 
 
 def _readme_exit_codes() -> dict[str, int]:

@@ -70,7 +70,10 @@ class MockEtherscan:
                 self.wfile.write(payload)
 
         self.httpd = HTTPServer(("127.0.0.1", 0), Handler)
-        self.thread = threading.Thread(target=self.httpd.serve_forever, daemon=True)
+        # a short poll interval keeps shutdown() from waiting out the 0.5 s default
+        self.thread = threading.Thread(
+            target=self.httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
+        )
 
     def __enter__(self):
         self.thread.start()
