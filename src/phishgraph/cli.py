@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import io
+import logging
 import os
 import sys
 from dataclasses import asdict
@@ -33,9 +35,9 @@ from .features import (
 from .gcn import GcnConfig, save_model, train
 from .graph import build_graph, to_training_inputs
 from .ingest import (
-    EXPLORER_COLUMNS,
     PhishingList,
     clean,
+    explorer_entries,
     label_dataset,
     parse_etherscan_csv,
     parse_etherscan_json,
@@ -43,6 +45,7 @@ from .ingest import (
 from .stats import ForestConfig, class_feature_stats, feature_importance, train_forest, write_importance
 from .storage import load_dataset, save_dataset, sha256_file, write_json
 from .synthetic import SyntheticConfig, generate_synthetic
+from .txmodel import Address, TxColumns
 
 FEATURE_SETS = ("explicit", "implicit", "both")
 
@@ -110,21 +113,17 @@ def _cmd_ingest(args) -> int:
         [out.name, out.name + ".clean.json"],
     )
 
-    transactions = []
-    reject_sections = []
+    parts, reject_sections = [], []
     for tx_path in args.tx:
-        suffix = Path(tx_path).suffix.lower()
+        json_file = Path(tx_path).suffix.lower() == ".json"
         try:
-            if suffix == ".json":
-                result = parse_etherscan_json(tx_path)
-            else:
-                result = parse_etherscan_csv(tx_path)
+            result = (parse_etherscan_json if json_file else parse_etherscan_csv)(tx_path)
         except (MalformedHeader, MalformedDocument) as exc:
             raise type(exc)(f"{tx_path}: {exc}") from None
-        transactions.extend(result.transactions)
+        parts.append(result.transactions)
         reject_sections.append({"file": str(tx_path), **result.rejects_json()})
 
-    cleaned, report = clean(transactions)
+    cleaned, report = clean(TxColumns.concat(parts))
     plist = PhishingList.from_files(args.phishing_list, args.verified)
     ds = label_dataset(cleaned, plist, require_verified=args.require_verified)
     save_dataset(ds, out)
@@ -286,7 +285,6 @@ API_KEY_ENV = "PHISHGRAPH_API_KEY"
 
 def _cmd_fetch(args) -> int:
     from .fetch import fetch_address_history
-    from .txmodel import Address
 
     api_key = args.api_key or os.environ.get(API_KEY_ENV)
     if not api_key:
@@ -316,10 +314,9 @@ def _cmd_fetch(args) -> int:
         page_size=args.page_size,
         requests_per_second=args.rate,
     )
-    # re-emit the explorer envelope (string-typed numerics) so the result
-    # feeds straight back into `ingest --tx`
-    entries = [dict(zip(EXPLORER_COLUMNS, map(str, tx))) for tx in txs]
-    write_json(out, {"status": "1", "message": "OK", "result": entries})
+    # re-emit the explorer envelope so the result feeds straight back into
+    # `ingest --tx`
+    write_json(out, {"status": "1", "message": "OK", "result": explorer_entries(txs)})
     print(f"fetched {len(txs)} transactions for {args.address} -> {out}")
     return 0
 
@@ -473,9 +470,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LevelFormatter(logging.Formatter):
+    def format(self, record: logging.LogRecord) -> str:
+        return f"{record.levelname.lower()}: {record.getMessage()}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The package's log records reach stderr as "warning: <message>" through
+    # this one handler. They are held until the command ends, so that a
+    # failure's "error:" line is the first line of stderr.
+    held = logging.StreamHandler(io.StringIO())
+    held.setFormatter(_LevelFormatter())
+    logging.getLogger("phishgraph").addHandler(held)
     try:
         return args.func(args)
     except PipelineError as exc:
@@ -484,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logging.getLogger("phishgraph").removeHandler(held)
+        sys.stderr.write(held.stream.getvalue())
 
 
 if __name__ == "__main__":

@@ -18,12 +18,6 @@ class InvalidAddress(PipelineError):
     exit_code = 2
 
 
-class InvalidNumeral(PipelineError):
-    """Raised when a decimal wei string contains non-digit characters."""
-
-    exit_code = 2
-
-
 class InvalidTransaction(PipelineError):
     """Raised when a dataset is constructed from an invalid transaction."""
 

@@ -20,7 +20,7 @@ from email.utils import parsedate_to_datetime
 
 from .errors import ApiError, InvalidConfig, NetworkError, RateLimited
 from .ingest import parse_etherscan_json
-from .txmodel import Address, Transaction
+from .txmodel import Address, TxColumns
 
 logger = logging.getLogger(__name__)
 
@@ -61,7 +61,7 @@ def fetch_address_history(
     requests_per_second: float = 5.0,
     max_retries: int = 3,
     timeout: float = 10.0,
-) -> list[Transaction]:
+) -> TxColumns:
     """Retrieve up to ``page_limit`` pages of transactions in block order.
 
     Raises InvalidConfig for an endpoint that is not http or https,
@@ -72,7 +72,7 @@ def fetch_address_history(
     if not endpoint_url.lower().startswith(("http://", "https://")):
         raise InvalidConfig(f"endpoint must be an http or https URL: {endpoint_url!r}")
     interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
-    collected: list[Transaction] = []
+    pages: list[TxColumns] = []
     last_request = 0.0
     for page in range(1, page_limit + 1):
         params = {
@@ -115,8 +115,8 @@ def fetch_address_history(
             logger.warning(
                 "page %d: %d rows rejected during parse", page, len(result.rejects)
             )
-        collected.extend(result.transactions)
+        pages.append(result.transactions)
         # a short page is the last; a rejected entry still filled its slot
         if len(result.transactions) + len(result.rejects) < page_size:
             break
-    return collected
+    return TxColumns.concat(pages)

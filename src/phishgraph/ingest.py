@@ -3,7 +3,9 @@
 Two input shapes are supported: CSV exports with a mandatory header row, and
 the JSON envelope returned by the explorer's ``account txlist`` endpoint
 (``{"status", "message", "result": [...]}`` with string-typed numerics).
-Malformed rows are never fatal; they are collected into a rejects report.
+Each parser turns its file into the nine field columns and checks each
+column once. Malformed rows are never fatal; they are collected into a
+rejects report.
 
 Labeling is a two-stage procedure: an address is first matched against the
 flagged list (R1) and, when ``require_verified`` is set, only addresses that
@@ -19,20 +21,14 @@ import io
 import json
 import logging
 from dataclasses import asdict, dataclass, field
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence, Union
+from typing import IO, Union
 
 import numpy as np
 
-from .errors import (
-    ApiError,
-    InvalidAddress,
-    InvalidConfig,
-    InvalidNumeral,
-    InvalidTransaction,
-    MalformedDocument,
-    MalformedHeader,
-)
+from .errors import ApiError, InvalidConfig, MalformedDocument, MalformedHeader
 from .txmodel import (
     MAX_U64,
     MAX_WEI,
@@ -40,17 +36,16 @@ from .txmodel import (
     Label,
     LabeledDataset,
     LabelProvenance,
-    Transaction,
-    canonicalize_tx_hash,
+    TxColumns,
+    decimal_column,
     hex_column,
-    parse_wei,
     transaction_table,
 )
 
 logger = logging.getLogger(__name__)
 
-# The explorer's field names, in ``Transaction`` field order; the CSV header
-# is matched case-insensitively.
+# The explorer's field names, in ``TX_RECORD`` field order; the CSV header
+# and JSON keys are matched case-insensitively.
 EXPLORER_COLUMNS = (
     "blockNumber",
     "timeStamp",
@@ -63,6 +58,7 @@ EXPLORER_COLUMNS = (
     "gasUsed",
 )
 REQUIRED_COLUMNS = tuple(name.lower() for name in EXPLORER_COLUMNS)
+_BLANKS = ("",) * len(REQUIRED_COLUMNS)
 
 ByteSource = Union[bytes, IO[bytes], str, Path]
 
@@ -76,7 +72,7 @@ class RejectedRow:
 
 @dataclass
 class ParseResult:
-    transactions: list[Transaction]
+    transactions: TxColumns  # the accepted rows
     rejects: list[RejectedRow] = field(default_factory=list)
 
     def rejects_json(self) -> dict:
@@ -105,75 +101,63 @@ class CleanReport:
         }
 
 
-class _RowError(Exception):
-    def __init__(self, reason: str, detail: str):
-        super().__init__(detail)
-        self.reason = reason
-        self.detail = detail
+def _validate(rows: list[tuple], row_numbers: list[int],
+              rejects: list[RejectedRow]) -> ParseResult:
+    """Check the nine field columns of a file's rows, each column once.
 
-
-def _field_to_int(fields: dict, key: str) -> int:
-    raw = fields.get(key)
-    if raw is None or str(raw).strip() == "":
-        raise _RowError("MissingField", f"missing {key}")
-    try:
-        return parse_wei(str(raw).strip())
-    except InvalidNumeral:
-        raise _RowError("BadNumeral", f"{key}={raw!r}") from None
-
-
-def _row_to_transaction(fields: dict) -> Transaction:
-    """Build a Transaction from lowercase-keyed string fields.
-
-    Raises _RowError with a machine-readable reason on any violation; the
-    callers turn those into reject entries rather than failing the parse.
+    ``rows`` holds each row's raw fields in ``REQUIRED_COLUMNS`` order. A
+    rejected row gets the first reason it fails, in this order: from, to,
+    hash, blocknumber to gasused, BadTimestamp, GasExceeded. Its detail is
+    formatted only then. ``rejects`` are the file's earlier rejects.
     """
-    try:
-        sender = Address(str(fields.get("from", "")))
-        receiver = Address(str(fields.get("to", "")))
-    except InvalidAddress as exc:
-        raise _RowError("BadAddress", str(exc)) from None
-    try:
-        tx_hash = canonicalize_tx_hash(str(fields.get("hash", "")))
-    except InvalidTransaction as exc:
-        raise _RowError("BadHash", str(exc)) from None
+    raw = dict(zip(REQUIRED_COLUMNS, zip(*rows) if rows else repeat(())))
+    failed: dict[int, tuple[str, str]] = {}
 
-    block = _field_to_int(fields, "blocknumber")
-    timestamp = _field_to_int(fields, "timestamp")
-    value = _field_to_int(fields, "value")
-    gas = _field_to_int(fields, "gas")
-    gas_price = _field_to_int(fields, "gasprice")
-    gas_used = _field_to_int(fields, "gasused")
+    def reject(bad: np.ndarray, why) -> None:
+        for i in np.flatnonzero(bad).tolist():
+            if i not in failed:
+                failed[i] = why(i)
 
-    if timestamp <= 0:
-        raise _RowError("BadTimestamp", f"timestamp={timestamp}")
-    if gas_used > gas:
-        raise _RowError("GasExceeded", f"gasUsed {gas_used} > gas {gas}")
-    return Transaction(
-        block_number=block,
-        timestamp=timestamp,
-        tx_hash=tx_hash,
-        sender=sender,
-        receiver=receiver,
-        value=value,
-        gas=gas,
-        gas_price=gas_price,
-        gas_used=gas_used,
-    )
+    hexes = {}
+    for key, nbytes, reason, what in (("from", 20, "BadAddress", "address"),
+                                      ("to", 20, "BadAddress", "address"),
+                                      ("hash", 32, "BadHash", "transaction hash")):
+        texts = list(map(str, raw[key]))
+        hexes[key], ok = hex_column(texts, nbytes)
+        reject(~ok, lambda i: (reason, f"invalid {what}: {texts[i]!r}"))
+    ints = {}
+    for key in ("blocknumber", "timestamp", "value", "gas", "gasprice", "gasused"):
+        values = raw[key]
+        texts = ["" if v is None else str(v).strip() for v in values]
+        ints[key], ok = decimal_column(texts)
+        reject(~ok, lambda i: ("BadNumeral", f"{key}={values[i]!r}") if texts[i]
+               else ("MissingField", f"missing {key}"))
+    timestamp, gas, gas_used = ints["timestamp"], ints["gas"], ints["gasused"]
+    reject(timestamp == 0, lambda i: ("BadTimestamp", f"timestamp={timestamp[i]}"))
+    reject(gas_used > gas, lambda i: ("GasExceeded", f"gasUsed {gas_used[i]} > gas {gas[i]}"))
+
+    keep = np.ones(len(rows), dtype=bool)
+    keep[list(failed)] = False
+    accepted = TxColumns(ints["blocknumber"], timestamp, hexes["hash"], hexes["from"],
+                         hexes["to"], ints["value"], gas, ints["gasprice"], gas_used).take(keep)
+    rejects += [RejectedRow(row_numbers[i], *failed[i]) for i in failed]
+    return ParseResult(accepted, sorted(rejects, key=attrgetter("row")))
 
 
 def parse_etherscan_csv(source: ByteSource) -> ParseResult:
     """Parse a CSV export. Header is mandatory; extra columns are ignored.
 
     Bytes, a binary stream and a path are read alike: streamed through one
-    UTF-8 decoder that leaves line endings to csv. A file that is not UTF-8
-    or not CSV is a MalformedDocument.
+    UTF-8 decoder that drops a leading byte-order mark and leaves line
+    endings to csv. A file that is not UTF-8 or not CSV is a
+    MalformedDocument. A blank row is skipped but keeps its row number; a
+    short row reads as padded with empty fields.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as raw:
             return parse_etherscan_csv(raw)
     raw = io.BytesIO(source) if isinstance(source, bytes) else source
-    stream = io.TextIOWrapper(raw, encoding="utf-8", newline="")
+    stream = io.TextIOWrapper(raw, encoding="utf-8-sig", newline="")
     try:
         return _parse_csv_stream(stream)
     except (UnicodeDecodeError, csv.Error) as exc:
@@ -193,31 +177,27 @@ def _parse_csv_stream(stream: IO[str]) -> ParseResult:
     if missing:
         raise MalformedHeader(f"missing required columns: {', '.join(missing)}")
 
-    result = ParseResult(transactions=[])
+    pick = itemgetter(*(columns[name] for name in REQUIRED_COLUMNS))
+    width = max(columns[name] for name in REQUIRED_COLUMNS) + 1
+    rows, row_numbers = [], []
     for row_no, row in enumerate(reader, start=1):
-        if not row or all(not cell.strip() for cell in row):
+        if not any(map(str.strip, row)):
             continue
-        fields = {
-            name: (row[i] if i < len(row) else "") for name, i in columns.items()
-        }
-        try:
-            result.transactions.append(_row_to_transaction(fields))
-        except _RowError as exc:
-            result.rejects.append(RejectedRow(row_no, exc.reason, exc.detail))
-    return result
+        row += [""] * (width - len(row))  # pads a short row, no-op otherwise
+        rows.append(pick(row))
+        row_numbers.append(row_no)
+    return _validate(rows, row_numbers, [])
 
 
 def parse_etherscan_json(source: ByteSource) -> ParseResult:
     """Parse an ``account txlist`` JSON envelope; same semantics as the CSV parser."""
     if isinstance(source, (str, Path)):
-        raw = Path(source).read_bytes()
-    elif isinstance(source, bytes):
-        raw = source
-    else:
-        raw = source.read()
+        source = Path(source).read_bytes()
     try:
-        document = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        document = json.loads(source if isinstance(source, bytes) else source.read())
+    # ValueError covers bad bytes, bad syntax and an integer literal with more
+    # digits than int() converts; RecursionError, arrays nested too deep
+    except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
     if not isinstance(document, dict) or "result" not in document:
         raise MalformedDocument("expected an object with a 'result' field")
@@ -230,50 +210,56 @@ def parse_etherscan_json(source: ByteSource) -> ParseResult:
             raise ApiError(message, payload=str(payload))
         raise MalformedDocument("'result' is not an array")
 
-    result = ParseResult(transactions=[])
+    rows, row_numbers, rejects = [], [], []
+    fields_by_keys: dict[tuple, list] = {}  # an entry's keys -> its nine fields' keys
     for row_no, entry in enumerate(payload, start=1):
         if not isinstance(entry, dict):
-            result.rejects.append(
-                RejectedRow(row_no, "BadEntry", "result entry is not an object")
-            )
+            rejects.append(RejectedRow(row_no, "BadEntry", "result entry is not an object"))
             continue
-        fields = {str(k).lower(): v for k, v in entry.items()}
-        try:
-            result.transactions.append(_row_to_transaction(fields))
-        except _RowError as exc:
-            result.rejects.append(RejectedRow(row_no, exc.reason, exc.detail))
-    return result
+        keys = tuple(entry)
+        if keys not in fields_by_keys:  # the last of keys equal but for case wins
+            by_name = {key.lower(): key for key in keys}
+            fields_by_keys[keys] = [by_name.get(name) for name in REQUIRED_COLUMNS]
+        # an absent field (None is never a JSON key) reads as ""
+        rows.append(tuple(map(entry.get, fields_by_keys[keys], _BLANKS)))
+        row_numbers.append(row_no)
+    return _validate(rows, row_numbers, rejects)
 
 
-def clean(txs: Iterable[Transaction]) -> tuple[list[Transaction], CleanReport]:
+def explorer_entries(txs: TxColumns) -> list[dict[str, str]]:
+    """``txs`` as ``account txlist`` entries with string-typed numerics, which
+    ``parse_etherscan_json`` reads back to the same columns."""
+    texts = [
+        # as raw bytes, since a bytes column's items drop trailing zero bytes
+        ["0x" + b.hex() for b in column.view(f"V{column.itemsize}").tolist()]
+        if column.dtype.kind == "S" else list(map(str, column.tolist()))
+        for column in txs.columns()
+    ]
+    return [dict(zip(EXPLORER_COLUMNS, row)) for row in zip(*texts)]
+
+
+def clean(txs: TxColumns) -> tuple[TxColumns, CleanReport]:
     """Drop parsed rows that do not fit ``TX_RECORD`` and repeated hashes.
 
     A row is dropped for the first of: a value above 256 bits, then a block,
     timestamp or gas field above 64 bits. Every other field was checked by
     the parser. Of the remaining rows, the first with a given hash is kept.
     """
-    report = CleanReport()
-    seen: set[str] = set()
-    kept: list[Transaction] = []
-    for i, tx in enumerate(txs):
-        if tx.value > MAX_WEI:
-            problem = "value out of range"
-        elif max(tx.block_number, tx.timestamp, tx.gas, tx.gas_price, tx.gas_used) > MAX_U64:
-            problem = "field beyond 64 bits"
-        else:
-            problem = None
-        if problem:
-            report.invalid_dropped += 1
-            report.dropped_rows.append((i, problem))
-            continue
-        if tx.tx_hash in seen:
-            report.dup_dropped += 1
-            report.dropped_rows.append((i, "duplicate hash"))
-            continue
-        seen.add(tx.tx_hash)
-        kept.append(tx)
-    report.kept = len(kept)
-    return kept, report
+    wide_value = txs.value > MAX_WEI
+    u64 = (txs.block_number, txs.timestamp, txs.gas, txs.gas_price, txs.gas_used)
+    wide = wide_value | np.any([column > MAX_U64 for column in u64], axis=0)
+    fits = np.flatnonzero(~wide)
+    kept = np.zeros(len(txs), dtype=bool)
+    kept[fits[np.unique(txs.tx_hash[fits], return_index=True)[1]]] = True
+    dropped = [
+        (i, "value out of range" if wide_value[i]
+         else "field beyond 64 bits" if wide[i] else "duplicate hash")
+        for i in np.flatnonzero(~kept).tolist()
+    ]
+    n_wide = len(txs) - len(fits)
+    report = CleanReport(kept=len(txs) - len(dropped), dup_dropped=len(dropped) - n_wide,
+                         invalid_dropped=n_wide, dropped_rows=dropped)
+    return txs.take(kept), report
 
 
 @dataclass(frozen=True)
@@ -315,11 +301,11 @@ def _read_address_file(path: str | Path) -> frozenset[Address]:
 
 
 def label_dataset(
-    txs: Sequence[Transaction],
+    txs: TxColumns,
     phishing_list: PhishingList,
     require_verified: bool = False,
 ) -> LabeledDataset:
-    """Apply the two-stage labeling to cleaned transactions.
+    """Apply the two-stage labeling to cleaned transaction columns.
 
     Output labels and provenance are independent of input transaction order.
     """
@@ -327,7 +313,7 @@ def label_dataset(
         logger.warning("phishing list is empty; every address will be labeled benign")
     table, records = transaction_table(txs)
     listed, verified = (
-        np.isin(table["address"], hex_column(group, "S20"))
+        np.isin(table["address"], hex_column(list(group), 20)[0])
         for group in (phishing_list.addresses, phishing_list.verified)
     )
     phishing = verified if require_verified else listed

@@ -1,21 +1,24 @@
-"""Core domain types: addresses, transactions, labels, labeled datasets.
+"""Core domain types: addresses, transaction columns, labels, labeled datasets.
 
 A labeled dataset is a columnar table of two numpy structured arrays in the
-on-disk row layouts, built only from arrays. ``Transaction`` rows are what the
-explorer parsers and ``fetch`` produce, and ``transaction_table`` turns them
-into the table once. Transaction wei amounts are exact Python integers; any
-conversion to floating point happens downstream in feature extraction.
+on-disk row layouts, built only from arrays. ``TxColumns`` holds explorer
+rows as columns, which the explorer parsers and ``fetch`` produce, and
+``transaction_table`` turns them into the table once. Transaction wei
+amounts stay exact integers; any conversion to floating point happens
+downstream in feature extraction.
 """
 from __future__ import annotations
 
 import re
+import sys
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from itertools import chain
-from typing import Iterable, NamedTuple, Sequence
+from itertools import compress
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidAddress, InvalidNumeral, InvalidTransaction
+from .errors import InvalidAddress, InvalidTransaction
 
 _HEX_RE = re.compile(r"[0-9a-f]*")
 
@@ -40,15 +43,41 @@ TX_RECORD = np.dtype(
 )
 
 
-def _canonical_hex(raw: str, body_len: int) -> str | None:
-    if not isinstance(raw, str):
-        return None
-    s = raw.strip().lower()
-    if s.startswith("0x"):
-        s = s[2:]
-    if len(s) != body_len or not _HEX_RE.fullmatch(s):
-        return None
-    return "0x" + s
+def hex_column(texts: Sequence[str], nbytes: int) -> tuple[np.ndarray, np.ndarray]:
+    """(``S<nbytes>`` bytes, ok mask) of hex texts as explorers write them:
+    surrounding whitespace, either case and the ``0x`` prefix are allowed.
+    A text that is not ``2 * nbytes`` hex digits is not ok and reads as zero
+    bytes."""
+    bodies = [t.strip().lower().removeprefix("0x") for t in texts]
+    ok = np.fromiter(map(len, bodies), np.intp, len(bodies)) == 2 * nbytes
+    if not _HEX_RE.fullmatch("".join(compress(bodies, ok))):
+        ok &= np.array([_HEX_RE.fullmatch(b) is not None for b in bodies], dtype=bool)
+    column = np.zeros(len(bodies), f"S{nbytes}")
+    column[ok] = np.frombuffer(bytes.fromhex("".join(compress(bodies, ok))), f"S{nbytes}")
+    return column, ok
+
+
+def decimal_column(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(exact integers, ok mask) of unsigned decimal numerals: ASCII digits,
+    leading zeros allowed. Values routinely exceed 64 bits (wei amounts reach
+    10^24), so the column is ``uint64`` only when every value fits, else
+    Python ints in an object array. A text that is no numeral, or has more
+    digits than ``int`` converts, is not ok and reads as 0."""
+    lengths = np.fromiter(map(len, texts), np.intp, len(texts))
+    joined = "".join(texts)
+    if joined.isascii() and joined.isdigit():
+        ok = lengths > 0
+    else:
+        ok = np.array([t.isascii() and t.isdigit() for t in texts], dtype=bool)
+    try:
+        values = list(map(int, compress(texts, ok)))
+    except ValueError:  # where int() limits its digits, a longer numeral is not ok
+        ok &= lengths <= sys.get_int_max_str_digits()
+        values = list(map(int, compress(texts, ok)))
+    dtype = np.uint64 if max(values, default=0) <= MAX_U64 else object
+    column = np.zeros(len(texts), dtype)
+    column[ok] = np.array(values, dtype)
+    return column, ok
 
 
 class Address(str):
@@ -61,37 +90,10 @@ class Address(str):
     __slots__ = ()
 
     def __new__(cls, raw: str) -> "Address":
-        canonical = _canonical_hex(raw, 40)
-        if canonical is None:
+        column, ok = hex_column([raw], 20) if isinstance(raw, str) else (None, [False])
+        if not ok[0]:
             raise InvalidAddress(f"invalid address: {raw!r}")
-        return super().__new__(cls, canonical)
-
-
-def canonicalize_tx_hash(raw: str) -> str:
-    """Canonical lowercase 0x-prefixed 32-byte transaction hash."""
-    canonical = _canonical_hex(raw, 64)
-    if canonical is None:
-        raise InvalidTransaction(f"invalid transaction hash: {raw!r}")
-    return canonical
-
-
-def parse_wei(decimal_string: str) -> int:
-    """Parse an unsigned decimal string into an exact integer.
-
-    Values routinely exceed 64-bit range (observed maxima are on the order of
-    10^24 wei), so the result is an arbitrary-precision int.
-    """
-    if (
-        not isinstance(decimal_string, str)
-        or not decimal_string
-        or not decimal_string.isascii()
-        or not decimal_string.isdigit()
-    ):
-        raise InvalidNumeral(f"not an unsigned decimal numeral: {decimal_string!r}")
-    try:
-        return int(decimal_string)
-    except ValueError:  # more digits than the interpreter converts
-        raise InvalidNumeral(f"numeral of {len(decimal_string)} digits is too long") from None
+        return super().__new__(cls, "0x" + column.tobytes().hex())
 
 
 class Label(IntEnum):
@@ -109,23 +111,41 @@ class LabelProvenance(Enum):
     SYNTHETIC = 4           # produced by the synthetic generator
 
 
-class Transaction(NamedTuple):
-    """One Ether transfer record as exported from a block explorer.
+@dataclass(frozen=True)
+class TxColumns:
+    """Explorer rows as columns, in ``TX_RECORD`` field order.
 
-    The fields are in explorer-column order, which is also ``TX_RECORD``'s.
+    The hash and both endpoints are raw bytes (``S32``, ``S20``); each
+    numeric column holds exact integers, as ``decimal_column`` gives them.
     The parsers check every field but the widths ``TX_RECORD`` stores, which
     ``ingest.clean`` checks.
     """
 
-    block_number: int
-    timestamp: int          # Unix seconds, UTC
-    tx_hash: str            # canonical 0x + 64 hex chars
-    sender: Address
-    receiver: Address
-    value: int              # wei, exact
-    gas: int                # gas units offered
-    gas_price: int          # wei per gas unit
-    gas_used: int           # gas units consumed
+    block_number: np.ndarray
+    timestamp: np.ndarray       # Unix seconds, UTC
+    tx_hash: np.ndarray
+    sender: np.ndarray
+    receiver: np.ndarray
+    value: np.ndarray           # wei, exact
+    gas: np.ndarray             # gas units offered
+    gas_price: np.ndarray       # wei per gas unit
+    gas_used: np.ndarray        # gas units consumed
+
+    def __len__(self) -> int:
+        return len(self.tx_hash)
+
+    def columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def take(self, index) -> "TxColumns":
+        return TxColumns(*(column[index] for column in self.columns()))
+
+    @staticmethod
+    def concat(parts: Sequence["TxColumns"]) -> "TxColumns":
+        if not parts:
+            ints, hashes, ends = np.zeros(0, np.uint64), np.zeros(0, "S32"), np.zeros(0, "S20")
+            return TxColumns(ints, ints, hashes, ends, ends, ints, ints, ints, ints)
+        return TxColumns(*map(np.concatenate, zip(*(p.columns() for p in parts))))
 
 
 class LabeledDataset:
@@ -177,34 +197,22 @@ class LabeledDataset:
         return len(self.address_table) - phishing, phishing
 
 
-def transaction_table(transactions: Sequence[Transaction]) -> tuple[np.ndarray, np.ndarray]:
-    """``(address_table, records)`` of cleaned transactions.
+def transaction_table(txs: TxColumns) -> tuple[np.ndarray, np.ndarray]:
+    """``(address_table, records)`` of cleaned transaction columns.
 
     The address table holds each distinct endpoint once, in increasing order,
     labeled benign with ``ASSUMED_BENIGN`` provenance for the caller to
     relabel; the records keep the transactions' order.
     """
-    n, width = len(transactions), len(Transaction._fields)
-    # one row-major flattening, then a strided slice per field; zip(*rows)
-    # would hold an iterator per row and run the cyclic GC many times
-    flat = list(chain.from_iterable(transactions))
-    columns = {name: flat[k::width] for k, name in enumerate(Transaction._fields)}
+    n = len(txs)
     records = np.empty(n, TX_RECORD)
-    for name in ("block_number", "timestamp", "gas", "gas_price", "gas_used"):
-        records[name] = np.array(columns[name], np.uint64)
-    records["tx_hash"] = hex_column(columns["tx_hash"], "S32")
-    values = b"".join([v.to_bytes(32, "big") for v in columns["value"]])
+    for name in ("block_number", "timestamp", "tx_hash", "gas", "gas_price", "gas_used"):
+        records[name] = getattr(txs, name)
+    values = b"".join([v.to_bytes(32, "big") for v in txs.value.tolist()])
     records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
-    ends = hex_column(columns["sender"] + columns["receiver"], "S20")
-    addresses, rows = np.unique(ends, return_inverse=True)
+    addresses, rows = np.unique(np.concatenate([txs.sender, txs.receiver]), return_inverse=True)
     records["sender"], records["receiver"] = rows[:n], rows[n:]
     table = np.zeros(len(addresses), ADDRESS_ROW)
     table["address"] = addresses
     table["provenance"] = LabelProvenance.ASSUMED_BENIGN.value
     return table, records
-
-
-def hex_column(prefixed_hex: Iterable[str], dtype: str) -> np.ndarray:
-    """Fixed-width byte strings from ``0x``-prefixed canonical hex strings
-    (in which "0x" can only be a prefix: "x" is no hex digit)."""
-    return np.frombuffer(bytes.fromhex("".join(prefixed_hex).replace("0x", "")), dtype)

@@ -9,8 +9,13 @@ forest votes. They never call the code paths they are used to check.
 """
 from __future__ import annotations
 
+import csv
+import io
+import json
+import re
 import struct
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,10 +26,58 @@ from phishgraph.txmodel import (
     Label,
     LabeledDataset,
     LabelProvenance,
-    Transaction,
+    TxColumns,
     hex_column,
     transaction_table,
 )
+
+
+class Transaction(NamedTuple):
+    """One explorer row as Python values, in ``TX_RECORD`` field order."""
+
+    block_number: int
+    timestamp: int
+    tx_hash: str            # canonical 0x + 64 hex chars
+    sender: Address
+    receiver: Address
+    value: int
+    gas: int
+    gas_price: int
+    gas_used: int
+
+
+def _exact(values) -> np.ndarray:
+    values = list(values)
+    return np.array(values, np.uint64 if max(values, default=0) < 2**64 else object)
+
+
+def tx_columns(txs) -> TxColumns:
+    """The columns of ``Transaction`` rows, built field by field."""
+    rows = list(txs)
+    raw = lambda texts, n: np.array([bytes.fromhex(t[2:]) for t in texts], f"S{n}")
+    return TxColumns(
+        _exact(t.block_number for t in rows), _exact(t.timestamp for t in rows),
+        raw([t.tx_hash for t in rows], 32), raw([t.sender for t in rows], 20),
+        raw([t.receiver for t in rows], 20), _exact(t.value for t in rows),
+        _exact(t.gas for t in rows), _exact(t.gas_price for t in rows),
+        _exact(t.gas_used for t in rows),
+    )
+
+
+def tx_rows(cols: TxColumns) -> list[Transaction]:
+    """``Transaction`` rows of transaction columns, decoded byte by byte."""
+    def hexes(column, n):
+        raw = column.tobytes()
+        return ["0x" + raw[k : k + n].hex() for k in range(0, len(raw), n)]
+
+    hashes, senders, receivers = (hexes(cols.tx_hash, 32), hexes(cols.sender, 20),
+                                  hexes(cols.receiver, 20))
+    return [
+        Transaction(int(cols.block_number[i]), int(cols.timestamp[i]), hashes[i],
+                    Address(senders[i]), Address(receivers[i]), int(cols.value[i]),
+                    int(cols.gas[i]), int(cols.gas_price[i]), int(cols.gas_used[i]))
+        for i in range(len(cols))
+    ]
 
 
 def addr(i: int) -> Address:
@@ -62,8 +115,8 @@ def make_tx(
 
 def dataset_from(txs, phishing=()) -> LabeledDataset:
     """LabeledDataset with synthetic provenance; phishing = iterable of addresses."""
-    table, records = transaction_table(txs)
-    table["label"] = np.isin(table["address"], hex_column(phishing, "S20"))
+    table, records = transaction_table(tx_columns(txs))
+    table["label"] = np.isin(table["address"], hex_column(list(phishing), 20)[0])
     table["provenance"] = LabelProvenance.SYNTHETIC.value
     return LabeledDataset(table, records)
 
@@ -319,3 +372,104 @@ def brute_force_metrics(pred, truth) -> dict:
             f1(prec_p, rec_p) * sup_p + f1(prec_b, rec_b) * sup_b, total
         ),
     }
+
+
+# ------------------------------------------- the per-row explorer reference
+# The explorer parsers as they once were, one row at a time: every field of
+# a lowercase-keyed row is canonicalized on its own, and the first failing
+# check names the reject. The parsers' column checks must agree with it.
+
+_REFERENCE_COLUMNS = ("blocknumber", "timestamp", "hash", "from", "to", "value",
+                      "gas", "gasprice", "gasused")
+_LOWER_HEX = re.compile(r"[0-9a-f]*")
+
+
+class RowError(Exception):
+    def __init__(self, reason: str, detail: str):
+        super().__init__(detail)
+        self.reason, self.detail = reason, detail
+
+
+def _canonical_hex(raw: str, body_len: int) -> str | None:
+    s = raw.strip().lower()
+    if s.startswith("0x"):
+        s = s[2:]
+    if len(s) != body_len or not _LOWER_HEX.fullmatch(s):
+        return None
+    return "0x" + s
+
+
+def _field_to_int(fields: dict, key: str) -> int:
+    raw = fields.get(key)
+    if raw is None or str(raw).strip() == "":
+        raise RowError("MissingField", f"missing {key}")
+    text = str(raw).strip()
+    if not text.isascii() or not text.isdigit():
+        raise RowError("BadNumeral", f"{key}={raw!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than the interpreter converts
+        raise RowError("BadNumeral", f"{key}={raw!r}") from None
+
+
+def _row_to_transaction(fields: dict) -> Transaction:
+    """A Transaction from lowercase-keyed fields, or RowError for the first
+    failing check: from, to, hash, each numeral, timestamp, gas."""
+    ends = []
+    for key in ("from", "to"):
+        raw = str(fields.get(key, ""))
+        canonical = _canonical_hex(raw, 40)
+        if canonical is None:
+            raise RowError("BadAddress", f"invalid address: {raw!r}")
+        ends.append(Address(canonical))
+    raw = str(fields.get("hash", ""))
+    tx_hash = _canonical_hex(raw, 64)
+    if tx_hash is None:
+        raise RowError("BadHash", f"invalid transaction hash: {raw!r}")
+    block, timestamp, value, gas, gas_price, gas_used = (
+        _field_to_int(fields, key)
+        for key in ("blocknumber", "timestamp", "value", "gas", "gasprice", "gasused"))
+    if timestamp <= 0:
+        raise RowError("BadTimestamp", f"timestamp={timestamp}")
+    if gas_used > gas:
+        raise RowError("GasExceeded", f"gasUsed {gas_used} > gas {gas}")
+    return Transaction(block, timestamp, tx_hash, *ends, value, gas, gas_price, gas_used)
+
+
+def _reference_rows(rows) -> tuple[list[Transaction], list[tuple[int, str, str]]]:
+    """(accepted rows, (row, reason, detail) rejects) of numbered field dicts."""
+    accepted, rejects = [], []
+    for row_no, fields in rows:
+        if fields is None:
+            rejects.append((row_no, "BadEntry", "result entry is not an object"))
+            continue
+        try:
+            accepted.append(_row_to_transaction(fields))
+        except RowError as exc:
+            rejects.append((row_no, exc.reason, exc.detail))
+    return accepted, rejects
+
+
+def reference_parse_csv(blob: bytes):
+    """The per-row reading of a CSV export (header matched case-insensitively,
+    blank rows skipped but numbered, short rows padded with "")."""
+    reader = csv.reader(io.StringIO(blob.decode("utf-8-sig"), newline=""))
+    columns = {name.strip().strip('"').lower(): i for i, name in enumerate(next(reader))}
+
+    def numbered():
+        for row_no, row in enumerate(reader, start=1):
+            if row and not all(not cell.strip() for cell in row):
+                yield row_no, {name: (row[i] if i < len(row) else "")
+                               for name, i in columns.items()}
+
+    return _reference_rows(numbered())
+
+
+def reference_parse_json(blob: bytes):
+    """The per-row reading of a ``txlist`` envelope's entries (keys
+    lowercased, the last of colliding keys winning)."""
+    entries = json.loads(blob)["result"]
+    return _reference_rows(
+        (row_no, {str(k).lower(): v for k, v in entry.items()}
+         if isinstance(entry, dict) else None)
+        for row_no, entry in enumerate(entries, start=1))

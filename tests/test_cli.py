@@ -112,6 +112,26 @@ class TestIngest:
         assert out1.read_bytes() == out2.read_bytes()
         assert sha256_file(out1) == sha256_file(out2)
 
+    def test_empty_phishing_list_warns_once(self, ingest_files, tmp_path):
+        """Run as a program, where no test harness handles log records: the
+        warning is one "warning:" line, and the artifacts are as on a rerun."""
+        tx_file, plist = ingest_files
+        plist.write_text("")
+        env = {**os.environ, "PYTHONPATH": str(Path(phishgraph.__file__).parents[1])}
+        outs = [tmp_path / "a.bin", tmp_path / "b.bin"]
+        for out in outs:
+            proc = subprocess.run(
+                [sys.executable, "-m", "phishgraph.cli", "ingest", "--tx", str(tx_file),
+                 "--phishing-list", str(plist), "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0
+            assert proc.stderr == (
+                "warning: phishing list is empty; every address will be labeled benign\n")
+        for suffix in ("", ".clean.json"):
+            a, b = (Path(str(out) + suffix).read_bytes() for out in outs)
+            assert a == b
+
     def test_missing_phishing_list_flag_exits_2(self, ingest_files, capsys):
         tx_file, _ = ingest_files
         with pytest.raises(SystemExit) as err:
@@ -570,6 +590,17 @@ class TestFetchCommand:
         assert "rate limit" in assert_clean_error(capsys)
         assert len(server.requests) == 4  # the first request and three retries
 
+    def test_warnings_follow_the_error_line(self, tmp_path, monkeypatch, capsys):
+        from test_fetch import MockEtherscan, ok
+
+        monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
+        with MockEtherscan({1: ok([])}, fail_first_n_rate_limits=99) as url:
+            code = main(["fetch", "--address", str(addr(1)), "--endpoint", url,
+                         "--rate", "0", "--out", str(tmp_path / "txs.json")])
+        assert code == 1
+        lines = assert_clean_error(capsys).splitlines()
+        assert lines[1:] == ["warning: rate limited on page 1; retrying in 0.0s"] * 3
+
     def test_file_endpoint_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
         secret = tmp_path / "secret.json"
@@ -699,6 +730,66 @@ def test_pinned_json_artifact_digests(tmp_path, monkeypatch):
             "e17343db687658b457ae402a0c96139dcebf43341f42bc1d9e6d40a239499050",
     }
     assert {name: sha256_file(name) for name in pinned} == pinned
+
+
+# (dataset, clean report, manifest) digests of the fixed ingest fixture, by flags
+PINNED_INGEST = {
+    "": ("6f0b9b9c575353de8e3c43bb5063ae4e2544fcb604dd7f0fb91997b25cb569c4",
+         "3f2cac8d02f6972db264990a2303c187b635dbc6077322239fe7d28484fed04f",
+         "5b948affd00bbfce7d24f4f41e69654463a65b20735ce57259ec4abe66ef4849"),
+    "--verified verified.txt": (
+        "9cd353d5c58878505458844e1fcfee6cd76ff65a895fb238ee7f701fa5b2958e",
+        "3f2cac8d02f6972db264990a2303c187b635dbc6077322239fe7d28484fed04f",
+        "bd5566b0caccf19a1db0b75cde7218de535bf8870a932faaa5a6888c5e74160a"),
+    "--verified verified.txt --require-verified": (
+        "8d5e04f1e72880523bfa4011a427ba644e82a748686e9bfc2afc28ee4a536b57",
+        "3f2cac8d02f6972db264990a2303c187b635dbc6077322239fe7d28484fed04f",
+        "f070190d23748d403b49b187470e15408c5e92310c7873ecf174705417eb0f5f"),
+}
+
+def _write_ingest_fixture():
+    """A small CSV+JSON export pair with every reject reason, a repeated
+    hash, a gas beyond 64 bits, a value beyond 256 bits, a blank and a short
+    row, a checksummed address, a JSON null and a non-object entry."""
+    rows = [
+        csv_row(1, addr(1), addr(2)),
+        csv_row(2, "0xnot-an-address", addr(3)),                          # BadAddress
+        csv_row(3, addr(3), addr(4)).replace(tx_hash(3), "0xdeadbeef"),   # BadHash
+        csv_row(4, addr(4), addr(5)).replace(",20000000000,", ",,"),     # MissingField
+        csv_row(5, addr(5), addr(6), value="1.5e18"),                     # BadNumeral
+        csv_row(6, addr(6), addr(1)).replace(",1680021600,", ",0,"),      # BadTimestamp
+        csv_row(7, addr(1), addr(3), gas_used=80_001),                    # GasExceeded
+        "",
+        csv_row(8, " 0X5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAed ", addr(2)),
+        csv_row(9, addr(2), addr(4)).replace(",80000,", f",{2**64},"),    # beyond 64 bits
+        csv_row(10, addr(3), addr(1), value=2**256),                      # beyond 256 bits
+        csv_row(1, addr(7), addr(8)),                                     # repeated hash
+        f"17000011,1680039600,{tx_hash(11)},{addr(2)}",                   # short row
+    ]
+    Path("txs.csv").write_text("\n".join([HEADER, *rows]) + "\n")
+    fields = HEADER.split(",")
+    entries = [dict(zip(fields, csv_row(k, addr(k % 4 + 1), addr(9)).split(",")))
+               for k in (12, 13, 14, 8)]
+    entries[1]["gasPrice"] = None
+    entries[2]["value"] = 7
+    Path("txs.json").write_text(json.dumps(
+        {"status": "1", "message": "OK", "result": [entries[0], "not an entry", *entries[1:]]}))
+    Path("flagged.txt").write_text(f"{addr(1)}\n{addr(3)}\n{addr(9)}\n")
+    Path("verified.txt").write_text(f"{addr(3)}\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["--verified", "verified.txt"],
+                                   ["--verified", "verified.txt", "--require-verified"]],
+                         ids=["listed", "verified", "require-verified"])
+def test_pinned_ingest_artifact_digests(flags, tmp_path, monkeypatch):
+    """The dataset, clean report and manifest of one fixed export pair are
+    fixed byte for byte, with and without a verified list."""
+    monkeypatch.chdir(tmp_path)
+    _write_ingest_fixture()
+    assert main(["ingest", "--tx", "txs.csv", "--tx", "txs.json",
+                 "--phishing-list", "flagged.txt", *flags, "--out", "ds.bin"]) == 0
+    names = ("ds.bin", "ds.bin.clean.json", "ds.bin.manifest.json")
+    assert tuple(sha256_file(name) for name in names) == PINNED_INGEST[" ".join(flags)]
 
 
 def _readme_exit_codes() -> dict[str, int]:

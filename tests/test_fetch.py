@@ -94,7 +94,7 @@ class TestFetch:
             txs = fetch_address_history(
                 Address(FROM_A), url, "key", requests_per_second=0
             )
-        assert txs == []
+        assert len(txs) == 0
 
     def test_two_pages_in_block_order(self):
         pages = {1: ok([tx_entry(1, block=100)]), 2: ok([tx_entry(2, block=200)])}
@@ -102,7 +102,7 @@ class TestFetch:
             txs = fetch_address_history(
                 Address(FROM_A), url, "key", page_size=1, requests_per_second=0
             )
-        assert [t.block_number for t in txs] == [100, 200]
+        assert txs.block_number.tolist() == [100, 200]
 
     def test_stops_on_short_page(self):
         pages = {1: ok([tx_entry(1, 100), tx_entry(2, 101)]), 2: ok([tx_entry(3, 102)])}
@@ -122,7 +122,7 @@ class TestFetch:
                 Address(FROM_A), url, "key", page_size=3, requests_per_second=0
             )
         assert len(server.requests) == 2
-        assert [t.block_number for t in txs] == [100, 102, 103, 104]
+        assert txs.block_number.tolist() == [100, 102, 103, 104]
 
     def test_respects_page_limit(self):
         pages = {i: ok([tx_entry(i, 100 + i)]) for i in range(1, 10)}

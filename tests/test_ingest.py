@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import random
@@ -23,7 +24,18 @@ from phishgraph.ingest import (
 )
 from phishgraph.txmodel import Label, LabelProvenance
 
-from helpers import addr, labels, make_tx, provenance, transactions, tx_hash
+from helpers import (
+    addr,
+    labels,
+    make_tx,
+    provenance,
+    reference_parse_csv,
+    reference_parse_json,
+    transactions,
+    tx_columns,
+    tx_hash,
+    tx_rows,
+)
 
 HEADER = "blockNumber,timeStamp,hash,from,to,value,gas,gasPrice,gasUsed"
 HASH_A = "0x" + "aa" * 32
@@ -40,7 +52,7 @@ class TestCsvParser:
     def test_direct_field_mapping(self):
         result = parse_etherscan_csv(csv_bytes(ROW))
         assert not result.rejects
-        (tx,) = result.transactions
+        (tx,) = tx_rows(result.transactions)
         assert tx.block_number == 17_000_000
         assert tx.timestamp == 1_680_000_000
         assert tx.tx_hash == HASH_A
@@ -54,14 +66,14 @@ class TestCsvParser:
     def test_gas_exceeded_row_rejected(self):
         row = f"17000000,1680000000,{HASH_A},{FROM_A},{TO_A},1,21000,20000000000,22000"
         result = parse_etherscan_csv(csv_bytes(row))
-        assert result.transactions == []
+        assert len(result.transactions) == 0
         (reject,) = result.rejects
         assert reject.reason == "GasExceeded"
         assert reject.row == 1
 
     def test_header_only_file(self):
         result = parse_etherscan_csv(csv_bytes())
-        assert result.transactions == []
+        assert len(result.transactions) == 0
         assert result.rejects == []
 
     def test_empty_file_is_malformed(self):
@@ -84,7 +96,7 @@ class TestCsvParser:
             for i in range(5)
         ]
         result = parse_etherscan_csv(csv_bytes(*rows))
-        assert [t.tx_hash for t in result.transactions] == [tx_hash(i) for i in range(5)]
+        assert [t.tx_hash for t in tx_rows(result.transactions)] == [tx_hash(i) for i in range(5)]
 
     def test_per_row_errors_not_fatal(self):
         rows = [
@@ -121,7 +133,19 @@ class TestCsvParser:
         stream = io.BytesIO(blob)
         results = [parse_etherscan_csv(src) for src in (blob, stream, path, str(path))]
         assert results[0].rejects and not stream.closed
-        assert all(result == results[0] for result in results)
+        views = [(tx_rows(r.transactions), r.rejects) for r in results]
+        assert all(view == views[0] for view in views)
+
+    @pytest.mark.parametrize("header", [HEADER, ",".join(f'"{h}"' for h in HEADER.split(","))])
+    def test_byte_order_mark_is_dropped(self, header, tmp_path):
+        plain = csv_bytes(ROW, header=header)
+        blob = b"\xef\xbb\xbf" + plain
+        path = tmp_path / "bom.csv"
+        path.write_bytes(blob)
+        want = tx_rows(parse_etherscan_csv(plain).transactions)
+        for source in (blob, io.BytesIO(blob), path):
+            result = parse_etherscan_csv(source)
+            assert not result.rejects and tx_rows(result.transactions) == want
 
 
 def envelope(result, status="1", message="OK") -> bytes:
@@ -145,11 +169,11 @@ JSON_TX = {
 class TestJsonParser:
     def test_empty_result(self):
         result = parse_etherscan_json(envelope([]))
-        assert result.transactions == [] and result.rejects == []
+        assert len(result.transactions) == 0 and result.rejects == []
 
     def test_equivalent_to_csv_row(self):
-        from_json = parse_etherscan_json(envelope([JSON_TX])).transactions[0]
-        from_csv = parse_etherscan_csv(csv_bytes(ROW)).transactions[0]
+        from_json = tx_rows(parse_etherscan_json(envelope([JSON_TX])).transactions)[0]
+        from_csv = tx_rows(parse_etherscan_csv(csv_bytes(ROW)).transactions)[0]
         assert from_json == from_csv
 
     def test_error_envelope_raises_api_error(self):
@@ -161,7 +185,7 @@ class TestJsonParser:
     def test_status_zero_with_array_is_not_an_error(self):
         # "no transactions found" responses carry status 0 and an empty array
         result = parse_etherscan_json(envelope([], status="0", message="No transactions found"))
-        assert result.transactions == []
+        assert len(result.transactions) == 0
 
     def test_invalid_json_is_malformed(self):
         with pytest.raises(MalformedDocument):
@@ -170,6 +194,14 @@ class TestJsonParser:
     def test_missing_result_field_is_malformed(self):
         with pytest.raises(MalformedDocument):
             parse_etherscan_json(json.dumps({"status": "1"}).encode())
+
+    @pytest.mark.parametrize("blob", [
+        b'{"status": "1", "result": [' + b"1" * 5000 + b"]}",  # more digits than int() reads
+        b'{"status": "1", "result": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+    ], ids=["long-integer-literal", "deep-nesting"])
+    def test_unreadable_json_is_malformed(self, blob):
+        with pytest.raises(MalformedDocument, match="invalid JSON"):
+            parse_etherscan_json(blob)
 
     def test_non_object_entries_rejected_per_row(self):
         result = parse_etherscan_json(envelope([JSON_TX, "garbage"]))
@@ -214,17 +246,118 @@ def test_json_parse_of_any_bytes_is_result_or_pipeline_error(raw, edits):
         assert isinstance(result, ParseResult)
 
 
+# ---------------------------------------- the column checks against the rows
+# Generated exports whose fields explorers could plausibly write, or not:
+# padded, uppercase and unprefixed hex, non-ASCII digits, signs, numerals
+# beyond 64 and 256 bits and beyond int()'s digit limit; in JSON also null,
+# numbers, booleans and lists, and keys that collide when lowercased.
+
+FIELD_NAMES = tuple(HEADER.split(","))
+PADDING = st.sampled_from(["", " ", "\t", "\n", "\xa0", "\u3000"])
+
+
+def hex_texts(digits: int):
+    body = st.builds(lambda raw, case: case(raw.hex()),
+                     st.binary(min_size=digits // 2, max_size=digits // 2),
+                     st.sampled_from([str.lower, str.upper, str.title]))
+    valid = st.builds(lambda left, prefix, b, right: left + prefix + b + right,
+                      PADDING, st.sampled_from(["0x", "0X", ""]), body, PADDING)
+    invalid = st.one_of(
+        body.map(lambda b: "0x" + b[1:]),
+        body.map(lambda b: b + "a"),
+        body.map(lambda b: "0x" + b[:-1] + "g"),
+        body.map(lambda b: "0x" + b[:-1] + "\u0665"),
+        body.map(lambda b: "0x0x" + b[2:]),
+        st.text(st.characters(blacklist_characters="\x00"), max_size=4),
+    )
+    return st.one_of(valid, valid, invalid)
+
+
+NUMERALS = st.one_of(
+    st.integers(0, 40).map(str),
+    st.integers(0, 2**70).map(str),
+    st.integers(2**250, 2**260).map(str),
+    st.builds(lambda left, n, right: left + n + right, PADDING,
+              st.integers(0, 10**6).map(str), PADDING),
+    st.sampled_from(["0", "000", "007", "+1", "-1", "\u0661\u0662", "\xb2", "1_0", "1.5",
+                     "1e3", "", " ", "1" * 4301, "0" * 4300 + "1"]),
+)
+
+
+ADDRESS_TEXTS, HASH_TEXTS = hex_texts(40), hex_texts(64)
+# strategies by field name (lowercase), each built once
+FIELD_TEXTS = {name.lower(): ADDRESS_TEXTS if name in ("from", "to")
+               else HASH_TEXTS if name == "hash" else NUMERALS for name in FIELD_NAMES}
+NAME_VARIANTS = {name: st.sampled_from([name, name.lower(), name.upper()])
+                 for name in (*FIELD_NAMES, "nonce", "isError")}
+
+
+@st.composite
+def csv_exports(draw) -> bytes:
+    extra = draw(st.lists(st.sampled_from(["nonce", "isError", *FIELD_NAMES]), max_size=3))
+    names = draw(st.permutations([*FIELD_NAMES, *extra]))
+    header = [draw(NAME_VARIANTS[name]) for name in names]
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(FIELD_TEXTS.get(name.lower(), NUMERALS)) for name in names]
+        shape = draw(st.sampled_from(["full", "full", "full", "short", "blank", "long"]))
+        if shape == "short":
+            cells = cells[: draw(st.integers(0, len(cells) - 1))]
+        elif shape == "blank":
+            cells = [draw(PADDING) for _ in range(draw(st.integers(0, 3)))]
+        elif shape == "long":
+            cells += draw(st.lists(NUMERALS, min_size=1, max_size=2))
+        rows.append(cells)
+    out = io.StringIO()
+    csv.writer(out).writerows([header, *rows])
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + out.getvalue().encode()
+
+
+JSON_VALUES = {name: st.one_of(texts, texts, st.none(), st.integers(-2, 2**300), st.floats(),
+                              st.booleans(), st.lists(st.integers(0, 9), max_size=2))
+               for name, texts in FIELD_TEXTS.items()}
+
+
+@st.composite
+def json_entries(draw):
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(["not an entry", 7, None, [1]]))
+    pairs = [(draw(NAME_VARIANTS[name]), draw(JSON_VALUES[name.lower()]))
+             for name in FIELD_NAMES if draw(st.integers(0, 9))]  # a field may be absent
+    for name in draw(st.lists(st.sampled_from(FIELD_NAMES), max_size=2)):
+        pairs.append((draw(NAME_VARIANTS[name]), draw(JSON_VALUES[name.lower()])))
+    pairs.append(("nonce", "1"))
+    return dict(draw(st.permutations(pairs)))
+
+
+def parse_view(result):
+    return tx_rows(result.transactions), [(r.row, r.reason, r.detail) for r in result.rejects]
+
+
+@settings(max_examples=150, deadline=None)
+@given(blob=csv_exports())
+def test_csv_columns_match_per_row_reference(blob):
+    assert parse_view(parse_etherscan_csv(blob)) == reference_parse_csv(blob)
+
+
+@settings(max_examples=150, deadline=None)
+@given(entries=st.lists(json_entries(), max_size=6))
+def test_json_columns_match_per_row_reference(entries):
+    blob = envelope(entries)
+    assert parse_view(parse_etherscan_json(blob)) == reference_parse_json(blob)
+
+
 class TestClean:
     def test_duplicate_dropped_first_kept(self):
         first = make_tx(1, addr(1), addr(2), value=5)
         second = make_tx(1, addr(3), addr(4), value=9)
-        kept, report = clean([first, second])
-        assert kept == [first]
+        kept, report = clean(tx_columns([first, second]))
+        assert tx_rows(kept) == [first]
         assert report.dup_dropped == 1 and report.kept == 1
 
     def test_empty_input(self):
-        kept, report = clean([])
-        assert kept == []
+        kept, report = clean(tx_columns([]))
+        assert len(kept) == 0
         assert (report.kept, report.dup_dropped, report.invalid_dropped) == (0, 0, 0)
 
     def test_mixed_fixture_counts(self):
@@ -232,17 +365,17 @@ class TestClean:
         valid = [make_tx(i, addr(1), addr(2)) for i in range(5)]
         dups = [make_tx(0, addr(1), addr(2)), make_tx(3, addr(1), addr(2))]
         invalid = [make_tx(9, addr(1), addr(2), gas_price=2**64)]
-        kept, report = clean(valid + dups + invalid)
+        kept, report = clean(tx_columns(valid + dups + invalid))
         assert report.kept == 5
         assert report.dup_dropped == 2
         assert report.invalid_dropped == 1
-        assert kept == valid
+        assert tx_rows(kept) == valid
 
     def test_no_duplicate_hashes_after_clean(self):
         rng = random.Random(3)
         txs = [make_tx(rng.randrange(20), addr(1), addr(2)) for _ in range(100)]
-        kept, _ = clean(txs)
-        hashes = [t.tx_hash for t in kept]
+        kept, _ = clean(tx_columns(txs))
+        hashes = [t.tx_hash for t in tx_rows(kept)]
         assert len(hashes) == len(set(hashes))
 
 
@@ -281,33 +414,33 @@ class TestLabelDataset:
 
     def test_listed_sender_flags_transaction(self):
         tx = make_tx(1, addr(1), addr(2))
-        ds = label_dataset([tx], self.plist(addr(1)))
+        ds = label_dataset(tx_columns([tx]), self.plist(addr(1)))
         assert labels(ds)[addr(1)] is Label.PHISHING
         assert labels(ds)[addr(2)] is Label.BENIGN
         assert provenance(ds)[addr(2)] is LabelProvenance.ONE_HOP_PHISHING
 
     def test_unlisted_pair_is_benign(self):
         tx = make_tx(1, addr(1), addr(2))
-        ds = label_dataset([tx], self.plist(addr(9)))
+        ds = label_dataset(tx_columns([tx]), self.plist(addr(9)))
         assert labels(ds)[addr(1)] is labels(ds)[addr(2)] is Label.BENIGN
         assert provenance(ds)[addr(1)] is LabelProvenance.ASSUMED_BENIGN
 
     def test_require_verified_gates_unverified_listing(self):
         tx = make_tx(1, addr(1), addr(2))
-        ds = label_dataset([tx], self.plist(addr(1)), require_verified=True)
+        ds = label_dataset(tx_columns([tx]), self.plist(addr(1)), require_verified=True)
         assert labels(ds)[addr(1)] is Label.BENIGN
         assert provenance(ds)[addr(1)] is LabelProvenance.LISTED_PHISHING
 
     def test_verified_survives_gate(self):
         tx = make_tx(1, addr(1), addr(2))
-        ds = label_dataset([tx], self.plist(verified=[addr(1)]), require_verified=True)
+        ds = label_dataset(tx_columns([tx]), self.plist(verified=[addr(1)]), require_verified=True)
         assert labels(ds)[addr(1)] is Label.PHISHING
         assert provenance(ds)[addr(1)] is LabelProvenance.VERIFIED_PHISHING
 
     def test_empty_list_warns_and_labels_benign(self, caplog):
         tx = make_tx(1, addr(1), addr(2))
         with caplog.at_level("WARNING"):
-            ds = label_dataset([tx], PhishingList(frozenset()))
+            ds = label_dataset(tx_columns([tx]), PhishingList(frozenset()))
         assert "empty" in caplog.text
         assert all(lbl is Label.BENIGN for lbl in labels(ds).values())
 
@@ -315,10 +448,10 @@ class TestLabelDataset:
         rng = random.Random(5)
         txs = [make_tx(i, addr(rng.randrange(8)), addr(rng.randrange(8))) for i in range(30)]
         plist = self.plist(addr(2), addr(5))
-        base = label_dataset(txs, plist)
+        base = label_dataset(tx_columns(txs), plist)
         shuffled = txs[:]
         rng.shuffle(shuffled)
-        permuted = label_dataset(shuffled, plist)
+        permuted = label_dataset(tx_columns(shuffled), plist)
         assert labels(base) == labels(permuted)
         assert provenance(base) == provenance(permuted)
         assert sorted(t.tx_hash for t in transactions(base)) == sorted(
@@ -329,7 +462,7 @@ class TestLabelDataset:
         rng = random.Random(6)
         txs = [make_tx(i, addr(rng.randrange(10)), addr(rng.randrange(10))) for i in range(50)]
         listed = {addr(1), addr(4)}
-        ds = label_dataset(txs, self.plist(*listed))
+        ds = label_dataset(tx_columns(txs), self.plist(*listed))
         assert transactions(ds) == tuple(txs)
         by_address = labels(ds)
         for tx in txs:
@@ -343,7 +476,8 @@ class TestLabelDataset:
         rng = random.Random(7)
         txs = [make_tx(i, addr(rng.randrange(12)), addr(rng.randrange(12))) for i in range(40)]
         listed, verified = {addr(1), addr(3), addr(5), addr(8)}, {addr(3), addr(8)}
-        ds = label_dataset(txs, self.plist(*listed, verified=verified), require_verified)
+        ds = label_dataset(tx_columns(txs), self.plist(*listed, verified=verified),
+                           require_verified)
         phishing = verified if require_verified else listed
         contacts = {a for tx in txs if {tx.sender, tx.receiver} & phishing
                     for a in (tx.sender, tx.receiver)}

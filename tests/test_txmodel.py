@@ -1,12 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
-from phishgraph.errors import InvalidAddress, InvalidNumeral, InvalidTransaction
+from phishgraph.errors import InvalidAddress, InvalidTransaction
 from phishgraph.ingest import clean
-from phishgraph.txmodel import Address, Label, parse_wei
+from phishgraph.txmodel import Address, Label, decimal_column
 
-from helpers import addr, dataset_from, labels, make_tx
+from helpers import addr, dataset_from, labels, make_tx, tx_columns, tx_rows
 
 
 class TestCanonicalizeAddress:
@@ -49,6 +50,13 @@ class TestCanonicalizeAddress:
         assert len({a, b}) == 1
 
 
+def parse_wei(text):
+    """One numeral through the column parser (a non-string as its str, as the
+    explorer parsers pass it): its exact value, or None when it is not ok."""
+    column, ok = decimal_column([text if isinstance(text, str) else str(text)])
+    return int(column[0]) if ok[0] else None
+
+
 class TestParseWei:
     def test_zero(self):
         assert parse_wei("0") == 0
@@ -58,17 +66,16 @@ class TestParseWei:
         assert parse_wei("4610000000000000000000000") == 461 * 10**22
 
     def test_bad_charset(self):
-        with pytest.raises(InvalidNumeral):
-            parse_wei("12a")
+        assert parse_wei("12a") is None
 
     @pytest.mark.parametrize("bad", ["", "+5", "-5", " 5", "5 ", "٥", "1_0", None])
     def test_rejects_non_digit_strings(self, bad):
-        with pytest.raises(InvalidNumeral):
-            parse_wei(bad)
+        assert parse_wei(bad) is None
 
     def test_numeral_beyond_int_digit_limit_rejected(self):
-        with pytest.raises(InvalidNumeral, match="5000 digits"):
-            parse_wei("1" * 5000)
+        column, ok = decimal_column(["7", "1" * 5000, "8"])
+        assert ok.tolist() == [True, False, True]
+        assert column.tolist() == [7, 0, 8]
 
     def test_leading_zeros_parse_but_round_trip_strips(self):
         assert parse_wei("007") == 7
@@ -78,8 +85,10 @@ class TestParseWei:
         rng = random.Random(11)
         samples = [0, 1, 2**64 - 1, 2**64, 2**256 - 1]
         samples += [rng.randrange(2**256) for _ in range(500)]
-        for x in samples:
-            assert parse_wei(str(x)) == x
+        column, ok = decimal_column([str(x) for x in samples])
+        assert ok.all() and column.dtype == object and column.tolist() == samples
+        narrow, _ = decimal_column([str(x) for x in samples[:3]])
+        assert narrow.dtype == np.uint64 and narrow.tolist() == samples[:3]
 
 
 class TestTransaction:
@@ -88,14 +97,14 @@ class TestTransaction:
 
     def test_valid_transaction(self):
         tx = make_tx(1, addr(1), addr(2))
-        kept, report = clean([tx])
-        assert kept == [tx] and report.dropped_rows == []
+        kept, report = clean(tx_columns([tx]))
+        assert tx_rows(kept) == [tx] and report.dropped_rows == []
 
     def test_value_beyond_256_bits_flagged(self):
         txs = [make_tx(1, addr(1), addr(2), value=2**256),
                make_tx(2, addr(1), addr(2), value=2**256 - 1)]
-        kept, report = clean(txs)
-        assert kept == txs[1:]
+        kept, report = clean(tx_columns(txs))
+        assert tx_rows(kept) == txs[1:]
         assert report.dropped_rows == [(0, "value out of range")]
         assert report.invalid_dropped == 1
 
@@ -103,8 +112,8 @@ class TestTransaction:
     def test_field_beyond_64_bits_flagged(self, field):
         wide = make_tx(1, addr(1), addr(2), **{"gas": 2**64, field: 2**64})
         at_limit = make_tx(2, addr(1), addr(2), **{"gas": 2**64 - 1, field: 2**64 - 1})
-        kept, report = clean([wide, at_limit])
-        assert kept == [at_limit]
+        kept, report = clean(tx_columns([wide, at_limit]))
+        assert tx_rows(kept) == [at_limit]
         assert report.dropped_rows == [(0, "field beyond 64 bits")]
 
 
