@@ -492,6 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     finally:
         logging.getLogger("phishgraph").removeHandler(held)
         sys.stderr.write(held.stream.getvalue())

@@ -64,7 +64,8 @@ class InvalidConfig(PipelineError):
 
 
 class ShapeMismatch(PipelineError):
-    """Matrix/vector dimensions do not line up."""
+    """Matrix/vector dimensions do not line up, or a feature matrix holds a
+    NaN or infinite value."""
 
     exit_code = 2
 

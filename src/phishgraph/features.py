@@ -84,6 +84,10 @@ class FeatureMatrix:
             raise ShapeMismatch(
                 f"rows have {self.rows.shape} shape for {len(self.names)} names"
             )
+        finite = np.isfinite(self.rows).all(axis=0)
+        if not finite.all():
+            bad = self.names[int(np.argmin(finite))]
+            raise ShapeMismatch(f"feature {bad!r} has a non-finite value")
 
     @property
     def n_features(self) -> int:

@@ -28,11 +28,10 @@ from typing import IO, Union
 
 import numpy as np
 
-from .errors import ApiError, InvalidConfig, MalformedDocument, MalformedHeader
+from .errors import ApiError, InvalidAddress, InvalidConfig, MalformedDocument, MalformedHeader
 from .txmodel import (
     MAX_U64,
     MAX_WEI,
-    Address,
     Label,
     LabeledDataset,
     LabelProvenance,
@@ -270,8 +269,8 @@ class PhishingList:
     data (a second file), never as logic.
     """
 
-    addresses: frozenset[Address]
-    verified: frozenset[Address] = frozenset()
+    addresses: frozenset[str]  # canonical hex, as ``Address`` writes it
+    verified: frozenset[str] = frozenset()
 
     def __post_init__(self):
         if not self.verified <= self.addresses:
@@ -287,17 +286,18 @@ class PhishingList:
         return cls(addresses=addresses | verified, verified=verified)
 
 
-def _read_address_file(path: str | Path) -> frozenset[Address]:
+def _read_address_file(path: str | Path) -> frozenset[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path}: not a UTF-8 address list: {exc}") from None
-    out = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            out.add(Address(line))
-    return frozenset(out)
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    column, ok = hex_column(lines, 20)
+    if not ok.all():
+        raise InvalidAddress(f"invalid address: {lines[int(np.argmin(ok))]!r}")
+    hexes = column.tobytes().hex()
+    return frozenset("0x" + hexes[k : k + 40] for k in range(0, len(hexes), 40))
 
 
 def label_dataset(

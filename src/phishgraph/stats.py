@@ -4,9 +4,17 @@ The forest exists to rank feature importance, not to serve as the production
 classifier. Trees are grown on bootstrap samples with Gini impurity; the best
 (feature, threshold) is searched over a random feature subset per node with
 thresholds at midpoints of consecutive distinct values. All randomness comes
-from per-tree seeds derived from one forest seed, so serial and parallel
-training would agree exactly; ties in Gini gain resolve to the lowest feature
-index and then the lowest threshold, making training fully deterministic.
+from per-tree seeds derived from one forest seed; ties in Gini gain resolve
+to the lowest feature index and then the lowest threshold, making training
+fully deterministic.
+
+The split search sorts no column per node. Each feature is rank-encoded once
+per forest, and a node is the array of bootstrap rows it holds. Per drawn
+feature, histograms of the node's ranks with one bin per distinct value (rows,
+weight, phishing weight) give by cumulative sums the left side of every
+threshold: LightGBM's histogram search (Ke et al., 2017) without its binning.
+With unit weights the sums are exact integers; ``balanced`` weights are summed
+per bin, which can change the pick only between splits whose exact gains tie.
 
 Importance is mean decrease in impurity: per tree, each split contributes its
 weighted impurity decrease to the split feature; per-tree vectors are
@@ -152,40 +160,27 @@ def _gini(counts: np.ndarray) -> float:
 
 
 class _TreeBuilder:
+    """Grows one tree; a node is the array of the forest rows it holds."""
+
     def __init__(
         self,
-        X: np.ndarray,
+        codes: np.ndarray,
+        values: tuple[np.ndarray, ...],
         y: np.ndarray,
         weights: np.ndarray,
         cfg: ForestConfig,
         rng: np.random.Generator,
-        n_features: int,
     ):
-        self.X = X
+        self.codes = codes      # (n_features, n_rows) rank of each row's value
+        self.values = values    # per feature, the ascending distinct values
         self.y = y
         self.w = weights
+        self.w1 = weights * (y == 1)
         self.cfg = cfg
         self.rng = rng
-        self.k = cfg.resolved_subsample(n_features)
-        self.n_features = n_features
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.class_counts: list[np.ndarray] = []
-        self.impurity: list[float] = []
-        self.weight: list[float] = []
-
-    def _new_node(self, counts: np.ndarray) -> int:
-        node = len(self.feature)
-        self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.class_counts.append(counts)
-        self.impurity.append(_gini(counts))
-        self.weight.append(float(counts.sum()))
-        return node
+        self.n_features = len(values)
+        self.k = cfg.resolved_subsample(self.n_features)
+        self.nodes: list[list] = []  # [feature, threshold, left, right, counts]
 
     def grow(self, idx: np.ndarray, depth: int) -> int:
         y_here = self.y[idx]
@@ -193,7 +188,8 @@ class _TreeBuilder:
         counts = np.array(
             [w_here[y_here == 0].sum(), w_here[y_here == 1].sum()]
         )
-        node = self._new_node(counts)
+        node = len(self.nodes)
+        self.nodes.append([-1, 0.0, -1, -1, counts])
         if (
             depth >= self.cfg.max_depth
             or len(idx) < 2 * self.cfg.min_leaf
@@ -205,10 +201,9 @@ class _TreeBuilder:
         if split is None:
             return node
         f, thr, left_idx, right_idx = split
-        self.feature[node] = f
-        self.threshold[node] = thr
-        self.left[node] = self.grow(left_idx, depth + 1)
-        self.right[node] = self.grow(right_idx, depth + 1)
+        self.nodes[node][:2] = f, thr
+        self.nodes[node][2] = self.grow(left_idx, depth + 1)
+        self.nodes[node][3] = self.grow(right_idx, depth + 1)
         return node
 
     def _best_split(self, idx: np.ndarray):
@@ -231,26 +226,27 @@ class _TreeBuilder:
         best_gain = 0.0
         best = None
         for f in features:
-            v = self.X[idx, f]
-            order = np.argsort(v, kind="stable")
-            v_sorted = v[order]
-            boundaries = np.nonzero(np.diff(v_sorted) > 0)[0]
-            if boundaries.size == 0:
-                continue
-            w_sorted = w[order]
-            w1_sorted = w_sorted * (y[order] == 1)
-            cum_w = np.cumsum(w_sorted)
-            cum_w1 = np.cumsum(w1_sorted)
-
-            n_left = boundaries + 1
+            key = self.codes[f, idx]
+            n_values = len(self.values[f])
+            if n_values > 1 << 14 and n_values > 4 * n:
+                # A long histogram for a small node costs more than ranking
+                # the node's own values first.
+                present, key = np.unique(key, return_inverse=True)
+                count = np.bincount(key)
+                cut_bins = np.arange(len(present) - 1)
+            else:
+                count = np.bincount(key)
+                present = np.flatnonzero(count)
+                cut_bins = present[:-1]
+            n_left = np.cumsum(count[cut_bins])
             valid = (n_left >= self.cfg.min_leaf) & (
                 n - n_left >= self.cfg.min_leaf
             )
             if not valid.any():
                 continue
-            b = boundaries[valid]
-            lw = cum_w[b]
-            lw1 = cum_w1[b]
+            cuts = np.flatnonzero(valid)
+            lw = np.cumsum(np.bincount(key, weights=w)[cut_bins])[cuts]
+            lw1 = np.cumsum(np.bincount(key, weights=self.w1[idx])[cut_bins])[cuts]
             rw = total_w - lw
             rw1 = total_w1 - lw1
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,28 +258,28 @@ class _TreeBuilder:
             gain = parent_gini - child
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
-                boundary = int(b[pos])
-                thr = float((v_sorted[boundary] + v_sorted[boundary + 1]) / 2.0)
+                j = cuts[pos]
+                below, above = self.values[f][present[j : j + 2]]
+                thr = float((below + above) / 2.0)
                 best_gain = float(gain[pos])
-                best = (int(f), thr, order, boundary)
+                best = (int(f), thr, key <= cut_bins[j])
 
         if best is None:
             return None
-        f, thr, order, boundary = best
-        left_idx = idx[order[: boundary + 1]]
-        right_idx = idx[order[boundary + 1 :]]
-        return f, thr, left_idx, right_idx
+        f, thr, go_left = best
+        return f, thr, idx[go_left], idx[~go_left]
 
-    def build(self) -> DecisionTree:
-        self.grow(np.arange(len(self.y)), 0)
+    def build(self, bootstrap: np.ndarray) -> DecisionTree:
+        self.grow(bootstrap, 0)
+        feature, threshold, left, right, counts = zip(*self.nodes)
         return DecisionTree(
-            feature=np.array(self.feature, dtype=np.int64),
-            threshold=np.array(self.threshold),
-            left=np.array(self.left, dtype=np.int64),
-            right=np.array(self.right, dtype=np.int64),
-            class_counts=np.array(self.class_counts),
-            impurity=np.array(self.impurity),
-            weight=np.array(self.weight),
+            feature=np.array(feature, dtype=np.int64),
+            threshold=np.array(threshold),
+            left=np.array(left, dtype=np.int64),
+            right=np.array(right, dtype=np.int64),
+            class_counts=np.array(counts),
+            impurity=np.array([_gini(c) for c in counts]),
+            weight=np.array([float(c.sum()) for c in counts]),
             max_depth=self.cfg.max_depth,
         )
 
@@ -306,6 +302,8 @@ def train_forest(
         sample_weights = per_class[labels]
     else:
         sample_weights = np.ones(n)
+    values, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.rows.T))
+    codes = np.stack(ranks)
 
     seed_rng = np.random.default_rng(cfg.seed)
     tree_seeds = [int(s) for s in seed_rng.integers(0, 2**63, size=cfg.n_trees)]
@@ -313,15 +311,8 @@ def train_forest(
     for tree_seed in tree_seeds:
         rng = np.random.default_rng(tree_seed)
         bootstrap = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(
-            X.rows[bootstrap],
-            labels[bootstrap],
-            sample_weights[bootstrap],
-            cfg,
-            rng,
-            X.n_features,
-        )
-        trees.append(builder.build())
+        builder = _TreeBuilder(codes, values, labels, sample_weights, cfg, rng)
+        trees.append(builder.build(bootstrap))
     return Forest(
         trees=trees,
         tree_seeds=tree_seeds,

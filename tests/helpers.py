@@ -4,8 +4,9 @@ The oracles here are deliberately independent routes: dense matrix algebra
 for the sparse forward pass, central finite differences for the analytic
 gradients, per-transaction dictionaries for the graph, per-entry
 dictionaries for the normalized adjacency, plain pairwise counting for the
-metrics, a struct-level reader for model.bin and a node-by-node walk for
-forest votes. They never call the code paths they are used to check.
+metrics, a struct-level reader for model.bin, a node-by-node walk for
+forest votes and a per-node sort split search for forest trees. They never
+call the code paths they are used to check.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import io
 import json
 import re
 import struct
+from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -21,6 +23,7 @@ import numpy as np
 
 from phishgraph.gcn import backward, forward, init_model, weighted_ce_loss
 from phishgraph.graph import build_graph, normalized_adjacency
+from phishgraph.stats import DecisionTree
 from phishgraph.txmodel import (
     Address,
     Label,
@@ -347,6 +350,160 @@ def forest_vote(forest, rows: np.ndarray) -> np.ndarray:
                 node = tree.left[node] if go_left else tree.right[node]
             votes[i, int(np.argmax(tree.class_counts[node]))] += 1
     return np.argmax(votes, axis=1)
+
+
+def _gini(counts: np.ndarray) -> float:
+    total = counts.sum()
+    if total <= 0:
+        return 0.0
+    p = counts / total
+    return float(1.0 - np.dot(p, p))
+
+
+class _SortedTreeBuilder:
+    """The forest's former split search: per node and drawn feature, a stable
+    argsort of the node's bootstrap column and cumulative sums in that order."""
+
+    def __init__(self, X, y, weights, cfg, rng, n_features):
+        self.X, self.y, self.w, self.cfg, self.rng = X, y, weights, cfg, rng
+        self.k = cfg.resolved_subsample(n_features)
+        self.n_features = n_features
+        self.nodes: list[tuple] = []  # (feature, threshold, left, right, counts)
+
+    def grow(self, idx: np.ndarray, depth: int) -> int:
+        y_here = self.y[idx]
+        w_here = self.w[idx]
+        counts = np.array([w_here[y_here == 0].sum(), w_here[y_here == 1].sum()])
+        node = len(self.nodes)
+        self.nodes.append([-1, 0.0, -1, -1, counts])
+        if (
+            depth >= self.cfg.max_depth
+            or len(idx) < 2 * self.cfg.min_leaf
+            or counts[0] == 0
+            or counts[1] == 0
+        ):
+            return node
+        split = self._best_split(idx)
+        if split is None:
+            return node
+        f, thr, left_idx, right_idx = split
+        self.nodes[node][:2] = f, thr
+        self.nodes[node][2] = self.grow(left_idx, depth + 1)
+        self.nodes[node][3] = self.grow(right_idx, depth + 1)
+        return node
+
+    def _best_split(self, idx: np.ndarray):
+        features = np.sort(self.rng.choice(self.n_features, size=self.k, replace=False))
+        y = self.y[idx]
+        w = self.w[idx]
+        total_w = w.sum()
+        total_w1 = w[y == 1].sum()
+        parent_gini = _gini(np.array([total_w - total_w1, total_w1]))
+        n = len(idx)
+
+        best_gain = 0.0
+        best = None
+        for f in features:
+            v = self.X[idx, f]
+            order = np.argsort(v, kind="stable")
+            v_sorted = v[order]
+            boundaries = np.nonzero(np.diff(v_sorted) > 0)[0]
+            if boundaries.size == 0:
+                continue
+            w_sorted = w[order]
+            w1_sorted = w_sorted * (y[order] == 1)
+            cum_w = np.cumsum(w_sorted)
+            cum_w1 = np.cumsum(w1_sorted)
+
+            n_left = boundaries + 1
+            valid = (n_left >= self.cfg.min_leaf) & (n - n_left >= self.cfg.min_leaf)
+            if not valid.any():
+                continue
+            b = boundaries[valid]
+            lw = cum_w[b]
+            lw1 = cum_w1[b]
+            rw = total_w - lw
+            rw1 = total_w1 - lw1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gini_l = 1.0 - ((lw1 / lw) ** 2 + ((lw - lw1) / lw) ** 2)
+                gini_r = 1.0 - ((rw1 / rw) ** 2 + ((rw - rw1) / rw) ** 2)
+            gini_l = np.where(lw > 0, gini_l, 0.0)
+            gini_r = np.where(rw > 0, gini_r, 0.0)
+            child = (lw * gini_l + rw * gini_r) / total_w
+            gain = parent_gini - child
+            pos = int(np.argmax(gain))
+            if gain[pos] > best_gain:
+                boundary = int(b[pos])
+                thr = float((v_sorted[boundary] + v_sorted[boundary + 1]) / 2.0)
+                best_gain = float(gain[pos])
+                best = (int(f), thr, order, boundary)
+
+        if best is None:
+            return None
+        f, thr, order, boundary = best
+        return f, thr, idx[order[: boundary + 1]], idx[order[boundary + 1 :]]
+
+
+def reference_forest(X, labels, cfg) -> list[DecisionTree]:
+    """The trees of ``train_forest(X, labels, cfg)`` grown by the per-node sort
+    search on a copy of each bootstrap sample, with the same seeds and draws."""
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    if cfg.balanced:
+        sample_weights = (n / (2.0 * np.bincount(labels, minlength=2)))[labels]
+    else:
+        sample_weights = np.ones(n)
+    seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.n_trees)
+    trees = []
+    for seed in seeds:
+        rng = np.random.default_rng(int(seed))
+        bootstrap = rng.integers(0, n, size=n)
+        builder = _SortedTreeBuilder(X.rows[bootstrap], labels[bootstrap],
+                                     sample_weights[bootstrap], cfg, rng, X.n_features)
+        builder.grow(np.arange(n), 0)
+        feature, threshold, left, right, counts = zip(*builder.nodes)
+        counts = np.array(counts)
+        trees.append(DecisionTree(
+            feature=np.array(feature, dtype=np.int64), threshold=np.array(threshold),
+            left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
+            class_counts=counts, impurity=np.array([_gini(c) for c in counts]),
+            weight=np.array([float(c.sum()) for c in counts]), max_depth=cfg.max_depth,
+        ))
+    return trees
+
+
+def node_rows(tree, X: np.ndarray, rows: np.ndarray, node: int) -> np.ndarray:
+    """The rows of ``rows`` that reach ``node``, found by walking down from the root."""
+    parent = {int(c): (p, side) for p in range(len(tree.feature))
+              for side, c in ((True, tree.left[p]), (False, tree.right[p])) if c >= 0}
+    path = []
+    while node in parent:
+        node, side = parent[node]
+        path.append((node, side))
+    for p, go_left in reversed(path):
+        below = X[rows, tree.feature[p]] <= tree.threshold[p]
+        rows = rows[below == go_left]
+    return rows
+
+
+def exact_gain(X: np.ndarray, labels, weights, rows, feature: int, threshold: float):
+    """Weighted Gini decrease of a split in rational arithmetic (0 for no split)."""
+    if feature < 0:
+        return Fraction(0)
+
+    def weighted_gini(part):
+        total = sum((Fraction(float(weights[r])) for r in part), Fraction(0))
+        phishing = sum((Fraction(float(weights[r])) for r in part if labels[r] == 1),
+                       Fraction(0))
+        if total == 0:
+            return total, Fraction(0)
+        p = phishing / total
+        return total, 1 - p * p - (1 - p) * (1 - p)
+
+    total, parent = weighted_gini(rows)
+    below = X[rows, feature] <= threshold
+    (lw, lg), (rw, rg) = weighted_gini(rows[below]), weighted_gini(rows[~below])
+    return parent - (lw * lg + rw * rg) / total
 
 
 def brute_force_metrics(pred, truth) -> dict:

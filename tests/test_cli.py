@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import phishgraph
-from phishgraph import cli
+from phishgraph import cli, gcn
 from phishgraph.cli import main
 from phishgraph.errors import PipelineError
 from phishgraph.features import EXPLICIT_FEATURE_NAMES, IMPLICIT_FEATURE_NAMES
@@ -376,6 +376,17 @@ class TestRun:
         # manifest was written before the failure; no model artifact exists
         assert (out_dir / "manifest.json").exists()
         assert not (out_dir / "model.bin").exists()
+
+    def test_out_of_memory_is_one_error_line(self, dataset, tmp_path, monkeypatch, capsys):
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+        monkeypatch.setattr(gcn, "init_model", no_memory)
+        code = main(["run", "--dataset", str(dataset), "--features", "implicit",
+                     "--out-dir", str(tmp_path / "run"), "--hidden-dims", "100000000"])
+        assert code == 1
+        err = assert_clean_error(capsys)
+        assert err.splitlines() == ["error: out of memory: Unable to allocate 74.5 GiB for an array"]
 
     def test_manual_weights_flag(self, dataset, tmp_path):
         out_dir = tmp_path / "run"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from phishgraph.errors import (
     ApiError,
+    InvalidAddress,
     InvalidConfig,
     MalformedDocument,
     MalformedHeader,
@@ -310,7 +311,9 @@ def csv_exports(draw) -> bytes:
         rows.append(cells)
     out = io.StringIO()
     csv.writer(out).writerows([header, *rows])
-    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + out.getvalue().encode()
+    # a UTF-8 file cannot hold the lone surrogates the cell texts may draw
+    blob = out.getvalue().encode(errors="ignore")
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + blob
 
 
 JSON_VALUES = {name: st.one_of(texts, texts, st.none(), st.integers(-2, 2**300), st.floats(),
@@ -394,6 +397,18 @@ class TestPhishingList:
         plist = PhishingList.from_files(listed, verified)
         assert plist.addresses == {addr(1), addr(2), addr(3)}
         assert plist.verified == {addr(3)}
+
+    def test_first_bad_line_is_named(self, tmp_path):
+        listed = tmp_path / "list.txt"
+        listed.write_text(f"{addr(1)}\n  0x12 \n# 0xnothex\n{addr(2).upper()}\n0xnothex\n")
+        with pytest.raises(InvalidAddress) as info:
+            PhishingList.from_files(listed)
+        assert str(info.value) == "invalid address: '0x12'"
+
+    def test_lines_are_canonicalized(self, tmp_path):
+        listed = tmp_path / "list.txt"
+        listed.write_text(f" {addr(1)[2:].upper()}\n0X{addr(2)[2:]}\n{addr(1)}\n")
+        assert PhishingList.from_files(listed).addresses == {addr(1), addr(2)}
 
     @pytest.mark.parametrize("which", ["listed", "verified"])
     def test_non_utf8_file_is_malformed_naming_it(self, which, tmp_path):

@@ -1,8 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phishgraph.errors import ShapeMismatch, SingleClass
-from phishgraph.features import IMPLICIT_FEATURE_NAMES, FeatureMatrix, extract_implicit
+from phishgraph.features import (
+    IMPLICIT_FEATURE_NAMES,
+    FeatureMatrix,
+    concat_features,
+    extract_explicit,
+    extract_implicit,
+)
 from phishgraph.graph import build_graph
 from phishgraph.stats import (
     ForestConfig,
@@ -12,7 +22,7 @@ from phishgraph.stats import (
 )
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
 
-from helpers import forest_vote, labels_vector
+from helpers import exact_gain, forest_vote, labels_vector, node_rows, reference_forest
 
 
 def implicit_matrix(rows: np.ndarray) -> FeatureMatrix:
@@ -207,3 +217,140 @@ class TestImportance:
         ranking = feature_importance(forest)
         assert ranking[0][0] == "total_val_sent"
         assert abs(sum(s for _, s in ranking) - 1.0) <= 1e-9
+
+
+TREE_ARRAYS = ("feature", "threshold", "left", "right", "class_counts", "impurity", "weight")
+
+
+def first_difference(tree, reference) -> int | None:
+    """Preorder index of the first node whose split or counts differ, None if
+    every array is equal byte for byte."""
+    if all(getattr(tree, a).dtype == getattr(reference, a).dtype
+           and getattr(tree, a).shape == getattr(reference, a).shape
+           and getattr(tree, a).tobytes() == getattr(reference, a).tobytes()
+           for a in TREE_ARRAYS):
+        return None
+    for node in range(min(len(tree.feature), len(reference.feature))):
+        if any(getattr(tree, a)[node].tobytes() != getattr(reference, a)[node].tobytes()
+               for a in ("feature", "threshold", "class_counts", "impurity", "weight")):
+            return node
+    raise AssertionError("trees differ only in their child links")
+
+
+def assert_matches_reference(X: FeatureMatrix, labels, cfg: ForestConfig) -> int:
+    """Unit weights: every tree array equals the sort-based reference's, and so
+    does the importance. Balanced weights sum in another order, so a tree may
+    part from the reference, but only where the two picks tie exactly: the
+    trees agree up to that node, which holds the same rows and counts in both.
+    Returns the number of trees that part."""
+    forest = train_forest(X, labels, cfg)
+    reference = reference_forest(X, labels, cfg)
+    assert len(forest.trees) == len(reference)
+    parted = 0
+    for tree, ref, seed in zip(forest.trees, reference, forest.tree_seeds):
+        node = first_difference(tree, ref)
+        if node is None:
+            continue
+        parted += 1
+        assert cfg.balanced, f"unit-weight tree parts from the reference at node {node}"
+        for name in ("class_counts", "impurity", "weight"):
+            assert getattr(tree, name)[node].tobytes() == getattr(ref, name)[node].tobytes()
+        weights = (len(labels) / (2.0 * np.bincount(labels, minlength=2)))[labels]
+        bootstrap = np.random.default_rng(seed).integers(0, len(labels), size=len(labels))
+        rows = node_rows(ref, X.rows, bootstrap, node)
+        gains = [exact_gain(X.rows, labels, weights, rows, t.feature[node], t.threshold[node])
+                 for t in (tree, ref)]
+        assert gains[0] == gains[1], f"node {node}: exact gains {gains} do not tie"
+    if not parted:
+        expected = replace(forest, trees=reference)
+        assert feature_importance(forest) == feature_importance(expected)
+    return parted
+
+
+@st.composite
+def forest_cases(draw, balanced: bool):
+    """Small matrices of heavily tied values (``-0.0`` beside ``0.0``, constant
+    columns), both classes present, and varied forest settings."""
+    n = draw(st.integers(2, 60))
+    d = draw(st.integers(1, 5))
+    pool = draw(st.lists(st.sampled_from([-2.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0, 1e300]),
+                         min_size=1, max_size=4, unique=True))
+    rows = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d)))
+    rows = rows.reshape(n, d)
+    for col in draw(st.sets(st.integers(0, d - 1), max_size=d)):
+        rows[:, col] = pool[0]
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    labels[draw(st.integers(1, n - 1))] = 1 - labels[0]
+    cfg = ForestConfig(
+        n_trees=draw(st.integers(1, 6)),
+        max_depth=draw(st.integers(1, 6)),
+        feature_subsample=draw(st.none() | st.integers(1, d)),
+        min_leaf=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32)),
+        balanced=balanced,
+    )
+    return FeatureMatrix(tuple(f"f{i}" for i in range(d)), rows), labels, cfg
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=forest_cases(balanced=False))
+def test_trees_match_sort_based_reference(case):
+    assert_matches_reference(*case)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=forest_cases(balanced=True))
+def test_balanced_trees_match_sort_based_reference(case):
+    assert_matches_reference(*case)
+
+
+def test_balanced_trees_part_only_at_exact_ties():
+    parted = 0
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 3, size=(24, 3)).astype(float)
+        labels = rng.integers(0, 2, size=24)
+        if labels.min() == labels.max():
+            continue
+        cfg = ForestConfig(n_trees=3, max_depth=4, min_leaf=1, seed=seed, balanced=True)
+        parted += assert_matches_reference(FeatureMatrix(("a", "b", "c"), rows), labels, cfg)
+    assert parted > 0, "no tree parted from the reference, so no tie was checked"
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["unit", "balanced"])
+def test_many_valued_column_matches_sort_based_reference(balanced):
+    # over 2**14 distinct values: small nodes rank their own values first
+    rng = np.random.default_rng(12)
+    signal = rng.normal(size=20_000)
+    rows = np.column_stack([signal, rng.integers(0, 4, size=20_000)])
+    labels = (signal + rng.normal(scale=0.5, size=20_000) > 0.8).astype(np.int64)
+    cfg = ForestConfig(n_trees=2, max_depth=9, seed=12, balanced=balanced)
+    assert_matches_reference(FeatureMatrix(("signal", "level"), rows), labels, cfg)
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["unit", "balanced"])
+@pytest.mark.parametrize("feature_set", ["implicit", "both"])
+def test_synth_forest_matches_sort_based_reference(feature_set, balanced):
+    ds = generate_synthetic(SyntheticConfig(seed=101))
+    g = build_graph(ds)
+    X = extract_implicit(ds, g)
+    if feature_set == "both":
+        X = concat_features(extract_explicit(ds, g), X)
+    assert assert_matches_reference(X, labels_vector(ds, g), ForestConfig(balanced=balanced)) == 0
+
+
+class TestNonFiniteFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_feature_matrix_names_the_column(self, bad):
+        rows = np.zeros((3, 3))
+        rows[1, 1] = bad
+        rows[2, 2] = bad
+        with pytest.raises(ShapeMismatch, match="'b'") as info:
+            FeatureMatrix(("a", "b", "c"), rows)
+        assert info.value.exit_code == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_forest_rejects_before_training(self, bad):
+        X, labels = separable_toy(3)
+        with pytest.raises(ShapeMismatch, match="'b'"):
+            train_forest(FeatureMatrix(X.names, np.where([False, True], bad, X.rows)), labels)
