@@ -4,9 +4,11 @@ The forest exists to rank feature importance, not to serve as the production
 classifier. Trees are grown on bootstrap samples with Gini impurity; the best
 (feature, threshold) is searched over a random feature subset per node with
 thresholds at midpoints of consecutive distinct values. All randomness comes
-from per-tree seeds derived from one forest seed; ties in Gini gain resolve
-to the lowest feature index and then the lowest threshold, making training
-fully deterministic.
+from per-tree seeds derived from one forest seed, making training fully
+deterministic. With unit weights, ties in Gini gain resolve to the lowest
+feature index and then the lowest threshold. With ``balanced`` weights the
+gains are rounded float sums, so rounding can decide between splits whose
+exact gains are equal.
 
 The split search sorts no column per node. Each feature is rank-encoded once
 per forest, and a node is the array of bootstrap rows it holds. Per drawn
@@ -14,7 +16,8 @@ feature, histograms of the node's ranks with one bin per distinct value (rows,
 weight, phishing weight) give by cumulative sums the left side of every
 threshold: LightGBM's histogram search (Ke et al., 2017) without its binning.
 With unit weights the sums are exact integers; ``balanced`` weights are summed
-per bin, which can change the pick only between splits whose exact gains tie.
+per bin, so between splits whose exact gains tie they can round differently
+from a running sum over sorted rows.
 
 Importance is mean decrease in impurity: per tree, each split contributes its
 weighted impurity decrease to the split feature; per-tree vectors are
@@ -227,17 +230,9 @@ class _TreeBuilder:
         best = None
         for f in features:
             key = self.codes[f, idx]
-            n_values = len(self.values[f])
-            if n_values > 1 << 14 and n_values > 4 * n:
-                # A long histogram for a small node costs more than ranking
-                # the node's own values first.
-                present, key = np.unique(key, return_inverse=True)
-                count = np.bincount(key)
-                cut_bins = np.arange(len(present) - 1)
-            else:
-                count = np.bincount(key)
-                present = np.flatnonzero(count)
-                cut_bins = present[:-1]
+            count = np.bincount(key)
+            present = np.flatnonzero(count)
+            cut_bins = present[:-1]
             n_left = np.cumsum(count[cut_bins])
             valid = (n_left >= self.cfg.min_leaf) & (
                 n - n_left >= self.cfg.min_leaf

@@ -319,7 +319,7 @@ def test_balanced_trees_part_only_at_exact_ties():
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["unit", "balanced"])
 def test_many_valued_column_matches_sort_based_reference(balanced):
-    # over 2**14 distinct values: small nodes rank their own values first
+    # 20,000 distinct values: most bins are empty in a small node's histogram
     rng = np.random.default_rng(12)
     signal = rng.normal(size=20_000)
     rows = np.column_stack([signal, rng.integers(0, 4, size=20_000)])
