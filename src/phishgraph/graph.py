@@ -7,6 +7,8 @@ transactions grouped by those node pairs. Propagation uses a 0/1 adjacency
 built from the same pairs, symmetrized by default (the symmetric normal form
 is only well defined for symmetric matrices), with self-loops added so nodes
 retain their own features. Both behaviors are flag-selectable for ablation.
+The operator comes from one scipy COO-to-CSR conversion, which merges
+parallel and mirrored pairs and sorts the column ids of each row.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ import numpy as np
 from .errors import ShapeMismatch
 from .txmodel import LabeledDataset
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
+if TYPE_CHECKING:  # pragma: no cover - annotations only: import cycles, lazy scipy
+    from scipy.sparse import csr_array
+
     from .evaluate import SplitMasks
     from .features import FeatureMatrix
 
@@ -48,45 +52,18 @@ def build_graph(ds: LabeledDataset) -> TxGraph:
     return TxGraph(rows, node_of[ends], labels)
 
 
+@dataclass
 class SparseMatrix:
-    """Compressed-sparse-row float64 matrix backed by ``scipy.sparse.csr_array``.
+    """A float64 matrix held as one canonical ``scipy.sparse.csr_array``.
 
-    Construction checks the CSR arrays before scipy sees them: row pointers
-    that start at 0, end at nnz and never decrease, column ids in range and
-    strictly increasing within each row. scipy is imported here and not at
-    module level, so commands that never build the operator never load it.
+    Canonical means no duplicate entries and sorted column ids in every row.
+    ``spmv`` sums each row in its stored column order, so that order fixes
+    the bits of every product. The wrapper stays only so that
+    ``benchmarks/traced_cli.py`` can time ``transpose`` and read ``nnz`` and
+    ``n_rows`` from ``spmv``'s operand.
     """
 
-    def __init__(
-        self,
-        n_rows: int,
-        n_cols: int,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        values: np.ndarray,
-    ):
-        from scipy.sparse import csr_array
-
-        indptr = np.asarray(indptr, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if indptr.shape != (n_rows + 1,):
-            raise ShapeMismatch("indptr has wrong length")
-        if indptr[0] != 0 or indptr[-1] != len(indices):
-            raise ShapeMismatch("indptr endpoints inconsistent with nnz")
-        row_lengths = np.diff(indptr)
-        if np.any(row_lengths < 0):
-            raise ShapeMismatch("indptr must be non-decreasing")
-        if len(indices) != len(values):
-            raise ShapeMismatch("indices/values length mismatch")
-        if indices.size and (indices.min() < 0 or indices.max() >= n_cols):
-            raise ShapeMismatch("column id out of range")
-        row_ids = np.repeat(np.arange(n_rows, dtype=np.int64), row_lengths)
-        unordered = (np.diff(indices) <= 0) & (row_ids[1:] == row_ids[:-1])
-        if unordered.any():
-            r = row_ids[np.argmax(unordered)]
-            raise ShapeMismatch(f"column ids not strictly increasing in row {r}")
-        self.csr = csr_array((values, indices, indptr), shape=(n_rows, n_cols))
+    csr: "csr_array"
 
     @property
     def n_rows(self) -> int:
@@ -100,36 +77,8 @@ class SparseMatrix:
     def nnz(self) -> int:
         return self.csr.nnz
 
-    @classmethod
-    def from_coo(
-        cls,
-        n_rows: int,
-        n_cols: int,
-        rows: np.ndarray,
-        cols: np.ndarray,
-        values: np.ndarray,
-    ) -> "SparseMatrix":
-        """Build CSR from triplets; duplicate coordinates are summed."""
-        from scipy.sparse import coo_array
-
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.size and (rows.min() < 0 or rows.max() >= n_rows):
-            raise ShapeMismatch("row id out of range")
-        if cols.size and (cols.min() < 0 or cols.max() >= n_cols):
-            raise ShapeMismatch("column id out of range")
-        coo = coo_array(
-            (np.asarray(values, dtype=np.float64), (rows, cols)), shape=(n_rows, n_cols)
-        )
-        return cls._from_csr(coo.tocsr())
-
-    @classmethod
-    def _from_csr(cls, csr) -> "SparseMatrix":
-        csr.sum_duplicates()  # also sorts the column ids of each row
-        return cls(*csr.shape, csr.indptr, csr.indices, csr.data)
-
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix._from_csr(self.csr.T.tocsr())
+        return SparseMatrix(self.csr.T.tocsr())
 
 
 def spmv(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:
@@ -154,47 +103,37 @@ def normalized_adjacency(
     A self-transfer is an edge on the diagonal, so with self-loops on its
     node's diagonal entry of A~ is 2.
     """
+    # imported here, so commands that never build the operator never load scipy
+    from scipy.sparse import coo_array, csr_array
+
     n = g.n_nodes
     src, dst = g.tx_nodes.T
     if symmetrize:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-    # one key per distinct (row, col): parallel and mirrored transfers collapse to 1
-    base = max(n, 1)
-    pairs = np.unique(src * base + dst)
-    rows, cols = pairs // base, pairs % base
+    # the conversion sums parallel and mirrored transfers and sorts each row
+    adj = coo_array((np.ones(len(src)), (src, dst)), shape=(n, n)).tocsr()
+    adj.data[:] = 1.0
     if add_self_loops:
-        loops = np.arange(n, dtype=np.int64)
-        rows, cols = np.concatenate((rows, loops)), np.concatenate((cols, loops))
-    degree = np.bincount(rows, minlength=n).astype(np.float64)
+        loops = np.arange(n + 1)
+        adj = adj + csr_array((np.ones(n), loops[:-1], loops), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    degree = np.bincount(rows, weights=adj.data, minlength=n)
     inv_sqrt = np.zeros(n)
     positive = degree > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
-    return SparseMatrix.from_coo(n, n, rows, cols, inv_sqrt[rows] * inv_sqrt[cols])
+    adj.data *= inv_sqrt[rows] * inv_sqrt[adj.indices]
+    return SparseMatrix(adj)
 
 
 @dataclass
 class GraphBatch:
-    """Everything the classifier needs, packed and shape-checked."""
+    """Everything the classifier needs, shape-checked by ``to_training_inputs``."""
 
     features: "FeatureMatrix"
     norm_adj: SparseMatrix
     labels: np.ndarray       # (n,) int codes
     train_mask: np.ndarray   # (n,) bool
     test_mask: np.ndarray    # (n,) bool
-
-    def __post_init__(self):
-        n = self.norm_adj.n_rows
-        if self.features.rows.shape[0] != n:
-            raise ShapeMismatch(
-                f"feature rows ({self.features.rows.shape[0]}) != node count ({n})"
-            )
-        if self.labels.shape != (n,):
-            raise ShapeMismatch("label vector has wrong length")
-        for mask in (self.train_mask, self.test_mask):
-            if mask.shape != (n,) or mask.dtype != np.bool_:
-                raise ShapeMismatch("masks must be boolean vectors over nodes")
-        if np.any(self.train_mask & self.test_mask):
-            raise ShapeMismatch("train and test masks overlap")
 
 
 def to_training_inputs(
@@ -205,15 +144,14 @@ def to_training_inputs(
     symmetrize: bool = True,
 ) -> GraphBatch:
     """Pack features, normalized adjacency, labels, and split masks."""
-    if X.rows.shape[0] != g.n_nodes:
-        raise ShapeMismatch(
-            f"feature rows ({X.rows.shape[0]}) != node count ({g.n_nodes})"
-        )
+    n = g.n_nodes
+    if X.rows.shape[0] != n:
+        raise ShapeMismatch(f"feature rows ({X.rows.shape[0]}) != node count ({n})")
+    train = np.asarray(split.train_mask, dtype=bool)
+    test = np.asarray(split.test_mask, dtype=bool)
+    if train.shape != (n,) or test.shape != (n,):
+        raise ShapeMismatch("masks must be boolean vectors over nodes")
+    if np.any(train & test):
+        raise ShapeMismatch("train and test masks overlap")
     adj = normalized_adjacency(g, add_self_loops=add_self_loops, symmetrize=symmetrize)
-    return GraphBatch(
-        features=X,
-        norm_adj=adj,
-        labels=g.labels,
-        train_mask=np.asarray(split.train_mask, dtype=bool),
-        test_mask=np.asarray(split.test_mask, dtype=bool),
-    )
+    return GraphBatch(X, adj, g.labels, train, test)

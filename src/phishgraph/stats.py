@@ -167,14 +167,14 @@ class _TreeBuilder:
 
     def __init__(
         self,
-        codes: np.ndarray,
+        codes: tuple[np.ndarray, ...],
         values: tuple[np.ndarray, ...],
         y: np.ndarray,
         weights: np.ndarray,
         cfg: ForestConfig,
         rng: np.random.Generator,
     ):
-        self.codes = codes      # (n_features, n_rows) rank of each row's value
+        self.codes = codes      # per feature, the rank of each row's value
         self.values = values    # per feature, the ascending distinct values
         self.y = y
         self.w = weights
@@ -221,6 +221,7 @@ class _TreeBuilder:
         )
         y = self.y[idx]
         w = self.w[idx]
+        w1 = self.w1[idx]
         total_w = w.sum()
         total_w1 = w[y == 1].sum()
         parent_gini = _gini(np.array([total_w - total_w1, total_w1]))
@@ -229,7 +230,7 @@ class _TreeBuilder:
         best_gain = 0.0
         best = None
         for f in features:
-            key = self.codes[f, idx]
+            key = self.codes[f][idx]
             count = np.bincount(key)
             present = np.flatnonzero(count)
             cut_bins = present[:-1]
@@ -241,14 +242,13 @@ class _TreeBuilder:
                 continue
             cuts = np.flatnonzero(valid)
             lw = np.cumsum(np.bincount(key, weights=w)[cut_bins])[cuts]
-            lw1 = np.cumsum(np.bincount(key, weights=self.w1[idx])[cut_bins])[cuts]
+            lw1 = np.cumsum(np.bincount(key, weights=w1)[cut_bins])[cuts]
             rw = total_w - lw
             rw1 = total_w1 - lw1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gini_l = 1.0 - ((lw1 / lw) ** 2 + ((lw - lw1) / lw) ** 2)
-                gini_r = 1.0 - ((rw1 / rw) ** 2 + ((rw - rw1) / rw) ** 2)
-            gini_l = np.where(lw > 0, gini_l, 0.0)
-            gini_r = np.where(rw > 0, gini_r, 0.0)
+            # no division by zero: a valid cut leaves at least min_leaf >= 1
+            # rows on each side, and every row's weight is positive
+            gini_l = 1.0 - ((lw1 / lw) ** 2 + ((lw - lw1) / lw) ** 2)
+            gini_r = 1.0 - ((rw1 / rw) ** 2 + ((rw - rw1) / rw) ** 2)
             child = (lw * gini_l + rw * gini_r) / total_w
             gain = parent_gini - child
             pos = int(np.argmax(gain))
@@ -297,8 +297,7 @@ def train_forest(
         sample_weights = per_class[labels]
     else:
         sample_weights = np.ones(n)
-    values, ranks = zip(*(np.unique(col, return_inverse=True) for col in X.rows.T))
-    codes = np.stack(ranks)
+    values, codes = zip(*(np.unique(col, return_inverse=True) for col in X.rows.T))
 
     seed_rng = np.random.default_rng(cfg.seed)
     tree_seeds = [int(s) for s in seed_rng.integers(0, 2**63, size=cfg.n_trees)]

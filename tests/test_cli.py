@@ -15,6 +15,7 @@ from phishgraph import cli, gcn
 from phishgraph.cli import main
 from phishgraph.errors import PipelineError
 from phishgraph.features import EXPLICIT_FEATURE_NAMES, IMPLICIT_FEATURE_NAMES
+from phishgraph.graph import build_graph, normalized_adjacency
 from phishgraph.storage import load_dataset, save_dataset, sha256_file
 from phishgraph.txmodel import Label
 
@@ -842,3 +843,29 @@ def test_traced_names_resolve():
         for part in attr_path.split("."):
             target = getattr(target, part, None)
         assert callable(target), f"{module_name}.{attr_path} ({span}) is gone"
+
+
+def test_traced_run_counts_the_operator(tmp_path):
+    """A ``--trace 1`` run of the benchmark's tracer still reads its counts
+    (nnz and rows of each spmv operand, nnz of the adjacency) from the
+    program. The tracer patches modules globally, so it runs in its own
+    process."""
+    root = Path(__file__).resolve().parents[1]
+    path = root / "benchmarks" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli_summary", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    dataset, spans_path = tmp_path / "ds.bin", tmp_path / "spans.json"
+    assert main(small_synth_args(dataset)) == 0
+    src = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(src)}
+    args = ["run", "--dataset", str(dataset), "--features", "both",
+            "--out-dir", str(tmp_path / "out"), "--epochs", "2"]
+    done = subprocess.run([sys.executable, str(path), str(spans_path), *args],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    spans = json.loads(spans_path.read_text())
+    summary = traced.summarize([[{"wall_s": 1.0, "spans": spans}]])
+    operator = normalized_adjacency(build_graph(load_dataset(dataset)))
+    assert summary["graph.adjacency_nnz"] == operator.nnz > 0
+    assert summary["graph.spmv_calls"] > 0

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from phishgraph.errors import ShapeMismatch
 from phishgraph.graph import (
@@ -15,9 +16,10 @@ from phishgraph.graph import (
     spmv,
     to_training_inputs,
 )
-from phishgraph.evaluate import stratified_split
+from phishgraph.evaluate import SplitMasks, stratified_split
 from phishgraph.features import FeatureMatrix
 from phishgraph.storage import load_dataset, save_dataset
+from phishgraph.synthetic import SyntheticConfig, generate_synthetic
 
 from helpers import (
     addr,
@@ -32,6 +34,12 @@ from helpers import (
     to_dense,
     transactions,
 )
+
+
+@pytest.fixture(scope="module")
+def synth_1x_graph():
+    """The graph of the default 1x corpus, ``synth --seed 101``."""
+    return build_graph(generate_synthetic(SyntheticConfig(seed=101)))
 
 
 def power_iteration_radius(dense: np.ndarray, iters: int = 500) -> float:
@@ -122,46 +130,14 @@ class TestBuildGraph:
 
 
 class TestSparseMatrix:
-    def test_csr_invariants_enforced(self):
-        with pytest.raises(ShapeMismatch):
-            SparseMatrix(2, 2, np.array([0, 1, 2]), np.array([1, 5]), np.array([1.0, 1.0]))
-        with pytest.raises(ShapeMismatch):
-            # duplicate column in one row -> not strictly increasing
-            SparseMatrix(1, 3, np.array([0, 2]), np.array([1, 1]), np.array([1.0, 1.0]))
-        with pytest.raises(ShapeMismatch):
-            SparseMatrix(2, 2, np.array([0, 2, 1]), np.array([0, 1]), np.array([1.0, 1.0]))
-
-    def test_from_coo_merges_duplicates(self):
-        m = SparseMatrix.from_coo(
-            2, 2, np.array([0, 0, 1]), np.array([1, 1, 0]), np.array([2.0, 3.0, 1.0])
-        )
-        assert np.array_equal(to_dense(m), np.array([[0.0, 5.0], [1.0, 0.0]]))
-
     def test_transpose(self):
         rng = np.random.default_rng(2)
         dense = np.where(rng.random((5, 3)) < 0.4, rng.normal(size=(5, 3)), 0.0)
-        rows, cols = np.nonzero(dense)
-        m = SparseMatrix.from_coo(5, 3, rows, cols, dense[rows, cols])
-        assert np.allclose(to_dense(m.transpose()), dense.T)
-
-    def test_row_order_checked_in_every_row(self):
-        # rows 0 and 2 are fine; row 1 repeats a column
-        with pytest.raises(ShapeMismatch, match="row 1"):
-            SparseMatrix(
-                3, 3, np.array([0, 2, 4, 5]), np.array([0, 2, 1, 1, 0]), np.ones(5)
-            )
-        # a column id that falls across a row boundary is not a violation
-        m = SparseMatrix(2, 3, np.array([0, 2, 3]), np.array([1, 2, 0]), np.ones(3))
-        assert np.array_equal(to_dense(m), [[0.0, 1.0, 1.0], [1.0, 0.0, 0.0]])
-
-    def test_from_coo_rejects_out_of_range_coordinates(self):
-        for rows, cols in (([2], [0]), ([0], [2]), ([-1], [0])):
-            with pytest.raises(ShapeMismatch):
-                SparseMatrix.from_coo(2, 2, np.array(rows), np.array(cols), np.ones(1))
+        m = SparseMatrix(csr_array(dense))
+        assert np.array_equal(to_dense(m.transpose()), dense.T)
 
     def test_transpose_of_rectangular_with_empty_rows(self):
-        m = SparseMatrix.from_coo(4, 2, np.array([3, 0, 3]), np.array([1, 1, 0]),
-                                  np.array([1.0, 2.0, 3.0]))
+        m = SparseMatrix(csr_array([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]]))
         t = m.transpose()
         assert (t.n_rows, t.n_cols, t.nnz) == (2, 4, 3)
         assert np.array_equal(to_dense(t), to_dense(m).T)
@@ -169,21 +145,19 @@ class TestSparseMatrix:
 
 class TestSpmv:
     def test_identity(self):
-        eye = SparseMatrix.from_coo(3, 3, np.arange(3), np.arange(3), np.ones(3))
+        eye = SparseMatrix(csr_array(np.eye(3)))
         dense = np.arange(12, dtype=float).reshape(3, 4)
         assert np.array_equal(spmv(eye, dense), dense)
 
     def test_zero_matrix(self):
-        zero = SparseMatrix.from_coo(
-            3, 3, np.empty(0, dtype=int), np.empty(0, dtype=int), np.empty(0)
-        )
+        zero = SparseMatrix(csr_array((3, 3)))
+        assert zero.nnz == 0
         assert np.array_equal(spmv(zero, np.ones((3, 2))), np.zeros((3, 2)))
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(3)
         dense_m = np.where(rng.random((8, 8)) < 0.3, rng.normal(size=(8, 8)), 0.0)
-        rows, cols = np.nonzero(dense_m)
-        m = SparseMatrix.from_coo(8, 8, rows, cols, dense_m[rows, cols])
+        m = SparseMatrix(csr_array(dense_m))
         operand = rng.normal(size=(8, 4))
         expected = dense_m @ operand
         got = spmv(m, operand)
@@ -191,11 +165,11 @@ class TestSpmv:
         assert rel.max() <= 1e-12
 
     def test_vector_operand(self):
-        eye = SparseMatrix.from_coo(2, 2, np.arange(2), np.arange(2), np.ones(2))
+        eye = SparseMatrix(csr_array(np.eye(2)))
         assert np.array_equal(spmv(eye, np.array([3.0, 4.0])), np.array([3.0, 4.0]))
 
     def test_shape_mismatch(self):
-        eye = SparseMatrix.from_coo(2, 2, np.arange(2), np.arange(2), np.ones(2))
+        eye = SparseMatrix(csr_array(np.eye(2)))
         with pytest.raises(ShapeMismatch):
             spmv(eye, np.ones((3, 2)))
 
@@ -238,6 +212,39 @@ class TestNormalizedAdjacency:
             want = normalized_adjacency_oracle(g, add_self_loops, symmetrize)
             # same products in the same order, so equal to the last bit
             assert np.array_equal(got, want)
+
+    def test_parallel_and_mirrored_transfers_merge(self):
+        # three transfers over one pair give the operator of a single transfer
+        single = build_graph(dataset_from([make_tx(1, addr(1), addr(2))]))
+        repeated = build_graph(dataset_from([
+            make_tx(1, addr(1), addr(2)),
+            make_tx(2, addr(1), addr(2)),
+            make_tx(3, addr(2), addr(1)),
+        ]))
+        for add_self_loops in (True, False):
+            a = normalized_adjacency(single, add_self_loops=add_self_loops)
+            b = normalized_adjacency(repeated, add_self_loops=add_self_loops)
+            assert a.nnz == b.nnz == 2 + 2 * add_self_loops
+            assert np.array_equal(to_dense(a), to_dense(b))
+
+    @pytest.mark.parametrize("add_self_loops", [True, False])
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_corpus_csr_arrays_match_oracle(self, synth_1x_graph, add_self_loops,
+                                            symmetrize):
+        # spmv sums each row in its stored column order, which a comparison
+        # of dense arrays cannot see, so compare the CSR arrays themselves
+        g = synth_1x_graph
+        m = normalized_adjacency(g, add_self_loops=add_self_loops, symmetrize=symmetrize)
+        want = normalized_adjacency_oracle(g, add_self_loops, symmetrize)
+        # every node of this corpus sends, so no entry is an explicit zero
+        # that csr_array(want) would drop
+        assert np.all(m.csr.data != 0.0)
+        for got, dense in ((m, want), (m.transpose(), want.T)):
+            ref = csr_array(dense)
+            assert got.csr.shape == ref.shape
+            assert np.array_equal(got.csr.indptr, ref.indptr)
+            assert np.array_equal(got.csr.indices, ref.indices)
+            assert got.csr.data.tobytes() == ref.data.tobytes()
 
     def test_empty_graph(self):
         m = normalized_adjacency(build_graph(dataset_from([])))
@@ -306,6 +313,21 @@ class TestTrainingInputs:
         bigger = FeatureMatrix(X.names, np.zeros((g.n_nodes + 1, 2)))
         with pytest.raises(ShapeMismatch):
             to_training_inputs(g, bigger, split)
+
+    def test_split_of_wrong_length_rejected(self):
+        ds, g, X, split = self.make_inputs()
+        short = SplitMasks(split.train_mask[:-1], split.test_mask[:-1],
+                           split.seed, split.ratio)
+        with pytest.raises(ShapeMismatch, match="masks"):
+            to_training_inputs(g, X, short)
+
+    def test_overlapping_masks_rejected(self):
+        ds, g, X, split = self.make_inputs()
+        overlap = SplitMasks(split.train_mask, split.test_mask.copy(),
+                             split.seed, split.ratio)
+        overlap.test_mask[np.argmax(split.train_mask)] = True
+        with pytest.raises(ShapeMismatch, match="overlap"):
+            to_training_inputs(g, X, overlap)
 
     def test_split_counts_80_20(self):
         ds, g, X, split = self.make_inputs(n_labeled=10, ratio=0.8)
