@@ -87,7 +87,7 @@ class SingleClass(ClassAbsent):
 
 
 class TrainingDiverged(PipelineError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or weight."""
 
     exit_code = 3
 

@@ -3,8 +3,9 @@
 The forward pass follows the symmetric-normalized propagation rule: every
 layer computes activations(A_hat @ H @ W) with ReLU on hidden layers and a
 row-wise softmax on the two-unit output layer. Inverted dropout is applied to
-hidden activations only while training. There are no bias terms unless
-explicitly enabled, keeping the layer rule literal.
+hidden activations only while training, as a boolean keep mask per hidden
+layer and the one scale 1/keep. There are no bias terms unless explicitly
+enabled, keeping the layer rule literal.
 
 The loss is a class-weighted cross-entropy summed over the masked nodes,
 L = -sum_i w(y_i) * log p_i(y_i), with the log clamped at 1e-12 so a
@@ -16,7 +17,10 @@ Gradients are exact and analytic (fused softmax/cross-entropy at the output,
 ReLU masks, dropout masks reused from the forward pass, and the transposed
 operator for the propagation step). Training is full batch, deterministic
 for a fixed (seed, config, data) triple, with Adam by default and plain
-gradient descent available for gradient checking.
+gradient descent available for gradient checking. Dropout never touches the
+input features, so when the first layer propagates before its product,
+training computes A_hat @ X once and every forward pass reuses it. A loss or
+a weight that turns non-finite stops training with TrainingDiverged.
 """
 from __future__ import annotations
 
@@ -119,7 +123,10 @@ class ForwardCache:
     # propagates first, H(l) itself when it propagates after the product
     weight_inputs: list[np.ndarray]
     pre_activation: list[np.ndarray]   # Z(l) for hidden layers (ReLU inputs)
+    # per hidden layer, the units inverted dropout kept (None when off); a
+    # kept unit is multiplied by dropout_scale = 1/keep
     dropout_masks: list[np.ndarray | None]
+    dropout_scale: float
 
 
 def _propagates_after(w: np.ndarray) -> bool:
@@ -134,11 +141,15 @@ def forward(
     training: bool = False,
     dropout_rate: float = 0.0,
     dropout_seed: int = 0,
+    *,
+    propagated_x: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the propagation rule; returns row-stochastic probabilities.
 
     Each layer multiplies A_hat into its narrower side: A_hat @ (H @ W) when
-    the layer narrows, (A_hat @ H) @ W otherwise.
+    the layer narrows, (A_hat @ H) @ W otherwise. `propagated_x`, if given,
+    is A_hat @ X; it stands in for that product when the first layer
+    propagates first and is unused when it narrows.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.weights[0].shape[0]:
@@ -148,10 +159,13 @@ def forward(
         )
     if adj.n_cols != X.shape[0]:
         raise ShapeMismatch("adjacency size does not match feature rows")
+    if propagated_x is not None and propagated_x.shape != (adj.n_rows, X.shape[1]):
+        raise ShapeMismatch("propagated features do not match A_hat @ X")
 
     rng = np.random.default_rng(dropout_seed)
     drop = training and dropout_rate > 0.0
     keep = 1.0 - dropout_rate
+    scale = 1.0 / keep if drop else 1.0
 
     h = X
     weight_inputs: list[np.ndarray] = []
@@ -163,18 +177,21 @@ def forward(
             weight_inputs.append(h)
             z = spmv(adj, h @ w)
         else:
-            p = spmv(adj, h)
+            p = spmv(adj, h) if layer or propagated_x is None else propagated_x
             weight_inputs.append(p)
             z = p @ w
         if model.biases is not None:
-            z = z + model.biases[layer]
+            z += model.biases[layer]
         if layer == n_hidden:
             break
         pre_activation.append(z)
         h = np.maximum(z, 0.0)
         if drop:
-            mask = (rng.random(h.shape) < keep).astype(np.float64) / keep
-            h = h * mask
+            # a kept unit is rounded once (h * 1/keep); a dropped one keeps
+            # its zero's sign, so the bits are those of h * (mask / keep)
+            mask = rng.random(h.shape) < keep
+            h *= mask
+            h *= scale
             masks.append(mask)
         else:
             masks.append(None)
@@ -182,7 +199,7 @@ def forward(
     shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    return probs, ForwardCache(weight_inputs, pre_activation, masks)
+    return probs, ForwardCache(weight_inputs, pre_activation, masks, scale)
 
 
 def class_weights(
@@ -265,11 +282,13 @@ def backward(
 
     n_hidden = len(model.weights) - 1
     for layer in range(n_hidden, -1, -1):
+        # upstream is a fresh array each layer, so delta is updated in place
         delta = upstream
         if layer < n_hidden:
             if cache.dropout_masks[layer] is not None:
-                delta = delta * cache.dropout_masks[layer]
-            delta = delta * (cache.pre_activation[layer] > 0.0)
+                delta *= cache.dropout_masks[layer]
+                delta *= cache.dropout_scale
+            delta *= cache.pre_activation[layer] > 0.0
         if grads_b is not None:
             grads_b[layer] = delta.sum(axis=0)
         w = model.weights[layer]
@@ -358,8 +377,14 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
         class_weights=w_pair, config=asdict(cfg), seed=cfg.seed
     )
     n_train = int(batch.train_mask.sum())
-    # A run that overflows is reported by the non-finite loss check, as
-    # TrainingDiverged; numpy's warnings would only come before that error.
+    # Dropout only touches hidden units, so A_hat @ X is the same in every
+    # pass that propagates before the first product.
+    propagated_x = None
+    if not _propagates_after(model.weights[0]):
+        propagated_x = spmv(batch.norm_adj, X)
+        propagated_x.setflags(write=False)
+    # A run that overflows is reported by the non-finite loss or weight
+    # check, as TrainingDiverged; numpy's warnings would only come before it.
     with np.errstate(all="ignore"):
         for epoch in range(cfg.epochs):
             probs, cache = forward(
@@ -369,6 +394,7 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
                 training=True,
                 dropout_rate=cfg.dropout_rate,
                 dropout_seed=_epoch_seed(cfg.seed, epoch),
+                propagated_x=propagated_x,
             )
             loss = weighted_ce_loss(probs, batch.labels, w_pair, batch.train_mask)
             if not np.isfinite(loss):
@@ -381,9 +407,19 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
                 model, cache, probs, batch.labels, w_pair, batch.train_mask, adj_t
             )
             optimizer.step(model, grads_w, grads_b)
+            # free this pass's activations before the next ones are allocated
+            del probs, cache, grads_w, grads_b
+            params = model.weights + (model.biases or [])
+            if not all(np.isfinite(p).all() for p in params):
+                raise TrainingDiverged(
+                    f"training diverged: a weight turned non-finite at epoch "
+                    f"{epoch + 1} of {cfg.epochs}"
+                )
             # train metrics come from a clean inference pass on the updated
             # weights, so the last pass also scores the returned model on test
-            pred, _ = predict(model, batch.norm_adj, X, cfg.threshold)
+            pred, _ = predict(
+                model, batch.norm_adj, X, cfg.threshold, propagated_x=propagated_x
+            )
             epoch_metrics = metrics(confusion(pred, batch.labels, batch.train_mask))
             report.train_accuracy.append(epoch_metrics.accuracy)
             report.train_weighted_f1.append(epoch_metrics.weighted_f1)
@@ -399,10 +435,15 @@ def _epoch_seed(seed: int, epoch: int) -> int:
 
 
 def predict(
-    model: GcnModel, adj: SparseMatrix, X: np.ndarray, threshold: float = 0.5
+    model: GcnModel,
+    adj: SparseMatrix,
+    X: np.ndarray,
+    threshold: float = 0.5,
+    *,
+    propagated_x: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(labels, phishing probabilities); phishing iff p >= threshold."""
-    probs, _ = forward(model, adj, X, training=False)
+    probs, _ = forward(model, adj, X, training=False, propagated_x=propagated_x)
     p_phish = probs[:, 1]
     return (p_phish >= threshold).astype(np.int64), p_phish
 

@@ -466,6 +466,22 @@ class TestRun:
         assert code == 3
         assert "epoch 2" in assert_clean_error(capsys)
 
+    def test_diverging_final_step_exits_3_without_a_model(self, tmp_path, capsys):
+        """A step that turns a weight infinite stops training even when it is
+        the last one, so no model.bin of infinite weights is written."""
+        ds_path = tmp_path / "ds.bin"
+        assert main(small_synth_args(ds_path, seed=1, benign=400, phishing=100)) == 0
+        capsys.readouterr()
+        out_dir = tmp_path / "x"
+        code = main(["run", "--dataset", str(ds_path), "--features", "implicit",
+                     "--out-dir", str(out_dir), "--optimizer", "gd", "--lr", "1e308",
+                     "--epochs", "1"])
+        assert code == 3
+        err = assert_clean_error(capsys)
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "epoch 1" in errors[0]
+        assert not (out_dir / "model.bin").exists()
+
     def test_diverging_training_error_is_first_stderr_line(self, tmp_path):
         """numpy's RuntimeWarnings, which pytest hides in-process, do not come
         before the error line."""
@@ -868,4 +884,6 @@ def test_traced_run_counts_the_operator(tmp_path):
     summary = traced.summarize([[{"wall_s": 1.0, "spans": spans}]])
     operator = normalized_adjacency(build_graph(load_dataset(dataset)))
     assert summary["graph.adjacency_nnz"] == operator.nnz > 0
-    assert summary["graph.spmv_calls"] > 0
+    # per epoch: 2 training forward, 2 backward and 2 eval products, plus
+    # A_hat @ X computed once before the first epoch
+    assert summary["graph.spmv_calls"] == 6 * 2 + 1

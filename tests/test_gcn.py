@@ -1,13 +1,20 @@
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from phishgraph import gcn
 from phishgraph.errors import ClassAbsent, InvalidConfig, ShapeMismatch
 from phishgraph.evaluate import stratified_split
-from phishgraph.features import extract_implicit, fit_minmax
+from phishgraph.features import (
+    concat_features,
+    extract_explicit,
+    extract_implicit,
+    fit_minmax,
+)
 from phishgraph.gcn import (
     AdamState,
     GcnConfig,
@@ -22,7 +29,7 @@ from phishgraph.gcn import (
     train,
     weighted_ce_loss,
 )
-from phishgraph.graph import build_graph, normalized_adjacency, to_training_inputs
+from phishgraph.graph import build_graph, normalized_adjacency, spmv, to_training_inputs
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
 
 from helpers import (
@@ -113,8 +120,35 @@ class TestForward:
             probs, cache = forward(
                 model, adj, X, training=True, dropout_rate=0.3, dropout_seed=seed
             )
-            dense = dense_forward_oracle(model, to_dense(adj), X, cache.dropout_masks)
+            # the exact per-element multiplier the pass applied: keep mask * 1/keep
+            multipliers = [m * cache.dropout_scale for m in cache.dropout_masks]
+            dense = dense_forward_oracle(model, to_dense(adj), X, multipliers)
             assert np.abs(probs - dense).max() <= 1e-12
+
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("hidden", [(6, 2), (2,)])
+    def test_cached_propagation_changes_no_bit(self, hidden, training):
+        """A_hat @ X passed in gives the bits of the pass that computes it; a
+        first layer that narrows (3 -> 2) propagates after its product, so it
+        leaves the cached operand unused."""
+        for seed in range(4):
+            adj, X, _, model = random_graph_instance(seed, hidden=hidden, use_bias=True)
+            propagated = spmv(adj, X)
+            propagated.setflags(write=False)
+            kw = dict(training=training, dropout_rate=0.3, dropout_seed=seed)
+            plain, _ = forward(model, adj, X, **kw)
+            cached, cache = forward(model, adj, X, **kw, propagated_x=propagated)
+            assert plain.tobytes() == cached.tobytes()
+            assert (cache.weight_inputs[0] is propagated) == (hidden == (6, 2))
+            if hidden == (2,):
+                poisoned = np.full_like(propagated, np.nan)
+                unused, _ = forward(model, adj, X, **kw, propagated_x=poisoned)
+                assert unused.tobytes() == plain.tobytes()
+
+    def test_cached_propagation_shape_checked(self):
+        adj, X, _, model = random_graph_instance(3, hidden=(6,))
+        with pytest.raises(ShapeMismatch):
+            forward(model, adj, X, propagated_x=spmv(adj, X)[:-1])
 
     def test_feature_width_checked(self):
         adj, X, _, model = random_graph_instance(3)
@@ -268,6 +302,61 @@ class TestTrain:
         batch = training_batch(seed, n_benign=400, n_phishing=100)
         _, report = train(batch, GcnConfig(seed=seed))
         assert report.train_weighted_f1[-1] >= 0.95
+
+    @pytest.mark.parametrize("hidden, cached", [((64, 32), True), ((8,), False)])
+    def test_propagates_x_once_into_every_pass(self, hidden, cached, monkeypatch):
+        """When the first layer widens (16 -> 64), train computes A_hat @ X
+        once, read-only, and every training and eval pass reuses it; when it
+        narrows (16 -> 8) nothing is cached. Either way an epoch makes 6 spmv
+        calls."""
+        batch = training_batch(6)
+        seen, spmv_calls = [], []
+        real_forward, real_spmv = gcn.forward, gcn.spmv
+
+        def spy_forward(*args, **kwargs):
+            seen.append(kwargs.get("propagated_x"))
+            return real_forward(*args, **kwargs)
+
+        def count_spmv(*args):
+            spmv_calls.append(1)
+            return real_spmv(*args)
+
+        monkeypatch.setattr(gcn, "forward", spy_forward)
+        monkeypatch.setattr(gcn, "spmv", count_spmv)
+        epochs = 4
+        train(batch, GcnConfig(hidden_dims=hidden, epochs=epochs, seed=6))
+        assert len(seen) == 2 * epochs
+        assert all(p is seen[0] for p in seen)
+        assert len(spmv_calls) == 6 * epochs + cached
+        if cached:
+            with pytest.raises(ValueError):
+                seen[0][0, 0] = 1.0
+        else:
+            assert seen[0] is None
+
+    def test_training_peak_memory_per_node(self):
+        """tracemalloc's peak inside train on the default 500-address corpus
+        (both feature sets, default dims, 20 epochs) reads about 3.2 KiB per
+        node. The bound leaves about 15% margin; float64 dropout masks (3.9)
+        or a training cache kept alive through the eval pass (4.0) break
+        it."""
+        ds = generate_synthetic(SyntheticConfig(seed=0))
+        g = build_graph(ds)
+        X = concat_features(extract_explicit(ds, g), extract_implicit(ds, g))
+        split = stratified_split(g.labels, 0.8, seed=0)
+        batch = to_training_inputs(g, fit_minmax(X, split.train_mask), split)
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            train(batch, GcnConfig(epochs=20, seed=0))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak / g.n_nodes <= 3.7 * 1024
 
     def test_inverse_frequency_requires_both_classes(self):
         batch = training_batch(4)
