@@ -275,12 +275,11 @@ def backward(
     node_weight = np.asarray(weights)[labels]
     upstream *= (node_weight * mask)[:, None]
 
-    grads_w: list[np.ndarray] = [np.zeros_like(w) for w in model.weights]
-    grads_b = (
-        [np.zeros_like(b) for b in model.biases] if model.biases is not None else None
-    )
+    n_layers = len(model.weights)
+    grads_w = [None] * n_layers  # each entry is set below, top layer first
+    grads_b = [None] * n_layers if model.biases is not None else None
 
-    n_hidden = len(model.weights) - 1
+    n_hidden = n_layers - 1
     for layer in range(n_hidden, -1, -1):
         # upstream is a fresh array each layer, so delta is updated in place
         delta = upstream

@@ -149,10 +149,6 @@ class Forest:
     feature_names: tuple[str, ...]
     config: ForestConfig
 
-    @property
-    def n_trees(self) -> int:
-        return len(self.trees)
-
 
 def _gini(counts: np.ndarray) -> float:
     total = counts.sum()
@@ -325,19 +321,15 @@ def feature_importance(forest: Forest) -> list[tuple[str, float]]:
     d = len(forest.feature_names)
     accumulated = np.zeros(d)
     for tree in forest.trees:
-        imp = np.zeros(d)
-        root_w = tree.weight[0]
-        for node in range(len(tree.feature)):
-            f = tree.feature[node]
-            if f < 0:
-                continue
-            l, r = tree.left[node], tree.right[node]
-            decrease = (
-                tree.weight[node] * tree.impurity[node]
-                - tree.weight[l] * tree.impurity[l]
-                - tree.weight[r] * tree.impurity[r]
-            ) / root_w
-            imp[f] += decrease
+        split = tree.feature >= 0
+        l, r = tree.left[split], tree.right[split]
+        decrease = (
+            tree.weight[split] * tree.impurity[split]
+            - tree.weight[l] * tree.impurity[l]
+            - tree.weight[r] * tree.impurity[r]
+        ) / tree.weight[0]
+        # bincount adds in node order, as a loop over the nodes would
+        imp = np.bincount(tree.feature[split], weights=decrease, minlength=d)
         total = imp.sum()
         if total > 0:
             accumulated += imp / total

@@ -7,7 +7,9 @@ Benign addresses transact uniformly over the observation window, which gives
 them long inter-transaction gaps and flat hour-of-day profiles.
 
 Every numeric choice funnels through one seeded generator, so a fixed seed
-reproduces the corpus byte for byte. Signal strength is configurable: the
+reproduces the corpus byte for byte. Each transaction's draws are recorded raw,
+as float64s in one flat array, and each column is checked and converted to its
+integer type once, after the last draw. Signal strength is configurable: the
 per-class value distributions and burst shape can be pushed together to make
 hard corpora or apart to make separable ones.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -22,8 +25,6 @@ import numpy as np
 from .errors import InvalidConfig
 from .txmodel import (
     ADDRESS_ROW,
-    MAX_U64,
-    MAX_WEI,
     TX_RECORD,
     Label,
     LabeledDataset,
@@ -158,72 +159,51 @@ def _fresh_address(rng: np.random.Generator, taken: set[bytes]) -> bytes:
             return addr
 
 
-def _lognormal_int(rng: np.random.Generator, mu: float, sigma: float, limit: int,
-                   what: str) -> int:
-    """One lognormal draw, truncated to an int that must not exceed ``limit``."""
-    draw = rng.lognormal(mu, sigma)
-    if not draw <= limit:  # also rejects nan
+def _dataset(draws: np.ndarray, addresses: list[bytes], n_benign: int) -> LabeledDataset:
+    """The table from the ``(n, 7)`` raw draws: address rows in increasing
+    order, records ordered by (timestamp, hash), each hash derived from the
+    generation counter. Values and gas prices are truncated to ints; the first
+    draw that does not fit its width, in generation order, is an error."""
+    checked = draws[:, [3, 6]]
+    bad = ~(checked < [2.0**256, 2.0**64])  # also rejects nan
+    if bad.any():
+        row, k = divmod(int(bad.argmax()), 2)
+        what, bits = (("value", 256), ("gas price", 64))[k]
         raise InvalidConfig(
-            f"{what} draw {draw:.4g} does not fit in {limit.bit_length()} bits; "
+            f"{what} draw {checked[row, k]:.4g} does not fit in {bits} bits; "
             "check its log mu and sigma"
         )
-    return int(draw)
 
+    column = np.frombuffer(b"".join(addresses), "S20")
+    order = np.argsort(column)  # generated addresses are distinct
+    row_of = np.empty(len(addresses), np.int64)
+    row_of[order] = np.arange(len(addresses))
+    table = np.empty(len(addresses), ADDRESS_ROW)
+    table["address"] = column[order]
+    table["label"] = np.where(order >= n_benign, Label.PHISHING, Label.BENIGN)
+    table["provenance"] = LabelProvenance.SYNTHETIC.value
 
-class _TxBuilder:
-    """Accumulates transactions column by column, with endpoints given as
-    generation indices (benign addresses first, then phishing)."""
-
-    def __init__(self, rng: np.random.Generator, gas_price_sigma: float):
-        self.rng = rng
-        self.gas_price_sigma = gas_price_sigma
-        self.timestamp, self.sender, self.receiver, self.value = [], [], [], []
-        self.gas, self.gas_price, self.gas_used = [], [], []
-
-    def add(self, ts: int, sender: int, receiver: int, value: int, gas_price_mu: float) -> None:
-        rng = self.rng
-        gas_used = int(rng.integers(21_000, 80_001))
-        gas = gas_used + int(rng.integers(0, 20_001))
-        gas_price = _lognormal_int(rng, gas_price_mu, self.gas_price_sigma, MAX_U64, "gas price")
-        self.timestamp.append(ts)
-        self.sender.append(sender)
-        self.receiver.append(receiver)
-        self.value.append(value)
-        self.gas.append(gas)
-        self.gas_price.append(gas_price)
-        self.gas_used.append(gas_used)
-
-    def dataset(self, addresses: list[bytes], n_benign: int) -> LabeledDataset:
-        """The table: address rows in increasing order, records ordered by
-        (timestamp, hash), each hash derived from the generation counter."""
-        column = np.frombuffer(b"".join(addresses), "S20")
-        order = np.argsort(column)  # generated addresses are distinct
-        row_of = np.empty(len(addresses), np.int64)
-        row_of[order] = np.arange(len(addresses))
-        table = np.empty(len(addresses), ADDRESS_ROW)
-        table["address"] = column[order]
-        table["label"] = np.where(order >= n_benign, Label.PHISHING, Label.BENIGN)
-        table["provenance"] = LabelProvenance.SYNTHETIC.value
-
-        n = len(self.timestamp)
-        records = np.empty(n, TX_RECORD)
-        for name in ("timestamp", "gas", "gas_price", "gas_used"):
-            records[name] = getattr(self, name)
-        records["block_number"] = (records["timestamp"] - _GENESIS) // _BLOCK_SECONDS
-        records["tx_hash"] = np.frombuffer(
-            b"".join(hashlib.sha256(f"synthetic-tx-{i}".encode()).digest() for i in range(n)),
-            "S32",
-        )
-        records["sender"] = row_of[self.sender]
-        records["receiver"] = row_of[self.receiver]
-        values = b"".join(v.to_bytes(32, "big") for v in self.value)
-        records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
-        records = records[np.lexsort((records["tx_hash"], records["timestamp"]))]
-        return LabeledDataset(table, records)
-
-
-def _value(rng: np.random.Generator, mu: float, sigma: float) -> int:
-    return max(1, _lognormal_int(rng, mu, sigma, MAX_WEI, "value"))
+    n = len(draws)
+    records = np.empty(n, TX_RECORD)
+    records["tx_hash"] = np.frombuffer(
+        b"".join(hashlib.sha256(f"synthetic-tx-{i}".encode()).digest() for i in range(n)),
+        "S32",
+    )
+    timestamp, sender, receiver, gas_used, extra = draws[:, [0, 1, 2, 4, 5]].astype(np.int64).T
+    records["timestamp"] = timestamp
+    records["block_number"] = (timestamp - _GENESIS) // _BLOCK_SECONDS
+    records["sender"] = row_of[sender]
+    records["receiver"] = row_of[receiver]
+    # A value can exceed 64 bits, so it is cut into 32-bit limbs as a float:
+    # division by a power of two and the remainder are exact, and the cast to
+    # the limb type truncates, so each limb is that of the draw's int.
+    value = np.maximum(1.0, draws[:, 3])
+    records["value"] = (value[:, None] / 2.0 ** (32 * np.arange(7, -1, -1))) % 2.0**32
+    records["gas"] = gas_used + extra
+    records["gas_price"] = draws[:, 6].astype(np.uint64)
+    records["gas_used"] = gas_used
+    records = records[np.lexsort((records["tx_hash"], records["timestamp"]))]
+    return LabeledDataset(table, records)
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
@@ -237,7 +217,21 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     addresses = [
         _fresh_address(rng, taken) for _ in range(n_benign + cfg.n_phishing_addresses)
     ]
-    builder = _TxBuilder(rng, cfg.gas_price_log_sigma)
+    # Each transaction's raw draws, in draw order: timestamp, sender and
+    # receiver (generation indices: benign addresses first, then phishing),
+    # value, gas used, gas offered above it, gas price. The integer draws are
+    # below 2**53, so a float64 holds each of them exactly.
+    raw = array("d")
+
+    def add(ts: int, sender: int, receiver: int, value_mu: float, value_sigma: float,
+            gas_price_mu: float) -> None:
+        raw.extend((
+            ts, sender, receiver,
+            rng.lognormal(value_mu, value_sigma),
+            rng.integers(21_000, 80_001),
+            rng.integers(0, 20_001),
+            rng.lognormal(gas_price_mu, cfg.gas_price_log_sigma),
+        ))
 
     # Background traffic: benign addresses send to other benign addresses at
     # uniformly random times, so their hour histograms are flat and their
@@ -252,13 +246,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
         for _ in range(n):
             ts = int(rng.integers(window_start, WINDOW_END))
             receiver = int(peer_ids[int(rng.integers(0, len(peer_ids)))])
-            builder.add(
-                ts,
-                sender,
-                receiver,
-                _value(rng, cfg.benign_value_log_mu, cfg.benign_value_log_sigma),
-                cfg.benign_gas_price_log_mu,
-            )
+            add(ts, sender, receiver, cfg.benign_value_log_mu, cfg.benign_value_log_sigma,
+                cfg.benign_gas_price_log_mu)
 
     # Phishing lifecycle: accumulate victim transfers, stay dormant on the
     # sending side, then drain in a tight early-morning burst. Drains cycle
@@ -283,13 +272,8 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
         for _ in range(int(rng.integers(lo, hi + 1))):
             ts = int(rng.integers(window_start, max(burst_day, window_start + 1)))
             victim = int(rng.integers(0, n_benign))
-            builder.add(
-                ts,
-                victim,
-                addr,
-                _value(rng, cfg.benign_value_log_mu, cfg.benign_value_log_sigma),
-                cfg.benign_gas_price_log_mu,
-            )
+            add(ts, victim, addr, cfg.benign_value_log_mu, cfg.benign_value_log_sigma,
+                cfg.benign_gas_price_log_mu)
 
         m_lo, m_hi = cfg.phishing_mule_count_range
         n_mules = min(int(rng.integers(m_lo, m_hi + 1)), pool_size)
@@ -300,12 +284,6 @@ def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
         for k in range(int(rng.integers(lo, hi + 1))):
             ts = burst_day + int(rng.integers(second_lo, second_hi))
             mule = int(mule_ids[k % len(mule_ids)])
-            builder.add(
-                ts,
-                addr,
-                mule,
-                _value(rng, drain_mu, drain_sigma),
-                cfg.phishing_gas_price_log_mu,
-            )
+            add(ts, addr, mule, drain_mu, drain_sigma, cfg.phishing_gas_price_log_mu)
 
-    return builder.dataset(addresses, n_benign)
+    return _dataset(np.frombuffer(raw).reshape(-1, 7), addresses, n_benign)

@@ -1,12 +1,13 @@
 import json
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from phishgraph.errors import InvalidConfig
 from phishgraph.features import hour_of_day
 from phishgraph.storage import load_dataset, save_dataset
-from phishgraph.synthetic import WINDOW_END, SyntheticConfig, generate_synthetic
+from phishgraph.synthetic import WINDOW_END, SyntheticConfig, _dataset, generate_synthetic
 from phishgraph.txmodel import Label, LabelProvenance
 
 from helpers import labels, provenance, transactions
@@ -136,3 +137,65 @@ class TestConfigValidation:
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(InvalidConfig):
             SyntheticConfig.from_json({"bogus_knob": 1})
+
+
+class TestDrawLimits:
+    """A value draw must fit in 256 bits and a gas price draw in 64; the
+    error names the first draw that does not, in generation order."""
+
+    ADDRESSES = [bytes([1]) * 20, bytes([2]) * 20]
+
+    def table(self, *rows):
+        """``(value, gas_price)`` draws, one transaction each, in time order."""
+        draws = [[WINDOW_END + i, 0, 1, v, 21_000, 7, p] for i, (v, p) in enumerate(rows)]
+        return _dataset(np.array(draws, dtype=float), self.ADDRESSES, 1)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([(2.0**256, 1e10)], r"^value draw 1.158e\+77 does not fit in 256 bits"),
+            ([(1e18, 2.0**64)], r"^gas price draw 1.845e\+19 does not fit in 64 bits"),
+            ([(float("nan"), 1e10)], r"^value draw nan does not fit in 256 bits"),
+            ([(1e18, float("inf"))], r"^gas price draw inf does not fit in 64 bits"),
+            ([(2.0**256, 2.0**64)], r"^value draw"),  # a value precedes its gas price
+            ([(1e18, 2.0**64), (2.0**256, 1e10)], r"^gas price draw"),  # earlier row first
+        ],
+    )
+    def test_first_bad_draw_rejected(self, rows, message):
+        with pytest.raises(InvalidConfig, match=message):
+            self.table(*rows)
+
+    def test_largest_fitting_draws_kept_exactly(self):
+        value, gas_price = np.nextafter(2.0**256, 0), np.nextafter(2.0**64, 0)
+        (tx,) = transactions(self.table((value, gas_price)))
+        assert tx.value == int(value) and tx.gas_price == int(gas_price)
+        assert (tx.gas_used, tx.gas) == (21_000, 21_007)
+
+    def test_draws_truncate_exactly(self):
+        """Each value is the int its draw truncates to, and at least one."""
+        values = [0.75, 12.9, 2.0**32 - 1, 2.0**32, 2.0**53 + 2, 1.5 * 2.0**64, 3.7e40,
+                  2.0**255 + 2.0**203]
+        txs = transactions(self.table(*((v, 12.9) for v in values)))
+        assert [tx.value for tx in txs] == [max(1, int(v)) for v in values]
+        assert {tx.gas_price for tx in txs} == {12}
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"benign_value_log_mu": 180}, r"^value draw \S+ does not fit in 256 bits"),
+            ({"benign_gas_price_log_mu": 50}, r"^gas price draw \S+ does not fit in 64 bits"),
+            ({"benign_value_log_mu": 180, "benign_gas_price_log_mu": 50}, r"^value draw"),
+            (  # the first benign gas price comes before any phishing value
+                {"benign_gas_price_log_mu": 50, "phishing_value_log_mu": 180,
+                 "phishing_high_value_fraction": 1.0},
+                r"^gas price draw",
+            ),
+            (  # a nan sigma is refused before any draw is made
+                {"benign_value_log_sigma": float("nan")},
+                r"^benign_value_log_sigma must be a finite number",
+            ),
+        ],
+    )
+    def test_config_names_the_draw(self, kwargs, message):
+        with pytest.raises(InvalidConfig, match=message):
+            generate_synthetic(SyntheticConfig(**kwargs))
