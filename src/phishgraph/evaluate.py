@@ -1,11 +1,12 @@
-"""Stratified splitting, confusion counts, metrics, and report emission.
+"""Stratified splitting, class weights, confusion counts, metrics, reports.
 
 Splitting happens at the address level, stratified by address label, so all
 of an address's transactions follow it into its partition. Metrics follow
 the usual definitions with phishing as the positive class; every 0/0 case
 collapses to 0, which is what lets a degenerate all-benign prediction report
 a phishing recall of exactly zero. Values are kept at full precision and
-rounded to two decimals only in the human-readable table.
+rounded to two decimals only in the human-readable table. Class weights are
+the one imbalance rule that the GCN loss and the balanced forest share.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyMask, InvalidConfig, ShapeMismatch
+from .errors import ClassAbsent, EmptyMask, InvalidConfig, ShapeMismatch
 from .storage import write_json
 
 _CLASSES = ("benign", "phishing")
@@ -62,6 +63,34 @@ def stratified_split(
                 "addresses empty"
             )
     return SplitMasks(train_mask=train, test_mask=test, seed=seed, ratio=ratio)
+
+
+def class_weights(
+    labels: np.ndarray,
+    mode: str = "inverse_frequency",
+    manual: tuple[float, float] | None = None,
+) -> tuple[float, float]:
+    """(w_benign, w_phishing) for the given training labels.
+
+    Inverse frequency means w_c = N / (2 * N_c): with both classes present it
+    makes the two classes contribute equal total weight to the loss.
+    """
+    if mode == "uniform":
+        return (1.0, 1.0)
+    if mode == "manual":
+        if manual is None or len(manual) != 2:
+            raise InvalidConfig("manual mode requires a (benign, phishing) pair")
+        return (float(manual[0]), float(manual[1]))
+    if mode != "inverse_frequency":
+        raise InvalidConfig(f"unknown weight mode {mode!r}")
+    labels = np.asarray(labels, dtype=np.int64)
+    n = len(labels)
+    counts = np.bincount(labels, minlength=2)
+    if counts[0] == 0 or counts[1] == 0:
+        raise ClassAbsent(
+            "inverse-frequency weighting needs both classes in the training labels"
+        )
+    return (n / (2.0 * counts[0]), n / (2.0 * counts[1]))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,13 @@ Gradients are exact and analytic (fused softmax/cross-entropy at the output,
 ReLU masks, dropout masks reused from the forward pass, and the transposed
 operator for the propagation step). Training is full batch, deterministic
 for a fixed (seed, config, data) triple, with Adam by default and plain
-gradient descent available for gradient checking. Dropout never touches the
-input features, so when the first layer propagates before its product,
-training computes A_hat @ X once and every forward pass reuses it. A loss or
-a weight that turns non-finite stops training with TrainingDiverged.
+gradient descent available for gradient checking. Both optimizers step one
+parameter list, `GcnModel.params`: every layer's weights, then every layer's
+biases when enabled, the order model.bin stores them in; `backward` returns
+its gradients in that order. Dropout never touches the input features, so
+when the first layer propagates before its product, training computes
+A_hat @ X once and every forward pass reuses it. A loss or a weight that
+turns non-finite stops training with TrainingDiverged.
 """
 from __future__ import annotations
 
@@ -30,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ClassAbsent, InvalidConfig, ShapeMismatch, TrainingDiverged
-from .evaluate import MetricsReport, confusion, metrics
+from .errors import InvalidConfig, ShapeMismatch, TrainingDiverged
+from .evaluate import MetricsReport, class_weights, confusion, metrics
 from .graph import GraphBatch, SparseMatrix, spmv
 from .storage import write_json
 
@@ -101,6 +104,11 @@ class GcnModel:
     @property
     def dims(self) -> tuple[int, ...]:
         return tuple([self.weights[0].shape[0]] + [w.shape[1] for w in self.weights])
+
+    @property
+    def params(self) -> list[np.ndarray]:
+        """Weights, then biases if any: the order model.bin stores them in."""
+        return self.weights + (self.biases or [])
 
 
 def init_model(
@@ -202,34 +210,6 @@ def forward(
     return probs, ForwardCache(weight_inputs, pre_activation, masks, scale)
 
 
-def class_weights(
-    labels: np.ndarray,
-    mode: str = "inverse_frequency",
-    manual: tuple[float, float] | None = None,
-) -> tuple[float, float]:
-    """(w_benign, w_phishing) for the given training labels.
-
-    Inverse frequency means w_c = N / (2 * N_c): with both classes present it
-    makes the two classes contribute equal total weight to the loss.
-    """
-    if mode == "uniform":
-        return (1.0, 1.0)
-    if mode == "manual":
-        if manual is None or len(manual) != 2:
-            raise InvalidConfig("manual mode requires a (benign, phishing) pair")
-        return (float(manual[0]), float(manual[1]))
-    if mode != "inverse_frequency":
-        raise InvalidConfig(f"unknown weight mode {mode!r}")
-    labels = np.asarray(labels, dtype=np.int64)
-    n = len(labels)
-    counts = np.bincount(labels, minlength=2)
-    if counts[0] == 0 or counts[1] == 0:
-        raise ClassAbsent(
-            "inverse-frequency weighting needs both classes in the training labels"
-        )
-    return (n / (2.0 * counts[0]), n / (2.0 * counts[1]))
-
-
 def weighted_ce_loss(
     probs: np.ndarray,
     labels: np.ndarray,
@@ -257,8 +237,8 @@ def backward(
     weights: tuple[float, float],
     mask: np.ndarray,
     adj_t: SparseMatrix,
-) -> tuple[list[np.ndarray], list[np.ndarray] | None]:
-    """Analytic gradients of the weighted loss for every layer.
+) -> list[np.ndarray]:
+    """Analytic gradients of the weighted loss, aligned with `model.params`.
 
     `adj_t` is the transpose of the propagation operator (equal to it when
     symmetrized). The dropout masks cached by the forward pass are reused so
@@ -276,8 +256,8 @@ def backward(
     upstream *= (node_weight * mask)[:, None]
 
     n_layers = len(model.weights)
-    grads_w = [None] * n_layers  # each entry is set below, top layer first
-    grads_b = [None] * n_layers if model.biases is not None else None
+    # each entry is set below, top layer first; a bias follows all weights
+    grads = [None] * (2 * n_layers if model.biases is not None else n_layers)
 
     n_hidden = n_layers - 1
     for layer in range(n_hidden, -1, -1):
@@ -288,16 +268,16 @@ def backward(
                 delta *= cache.dropout_masks[layer]
                 delta *= cache.dropout_scale
             delta *= cache.pre_activation[layer] > 0.0
-        if grads_b is not None:
-            grads_b[layer] = delta.sum(axis=0)
+        if model.biases is not None:
+            grads[n_layers + layer] = delta.sum(axis=0)
         w = model.weights[layer]
         after = _propagates_after(w)
         if after:
             delta = spmv(adj_t, delta)
-        grads_w[layer] = cache.weight_inputs[layer].T @ delta
+        grads[layer] = cache.weight_inputs[layer].T @ delta
         if layer > 0:
             upstream = delta @ w.T if after else spmv(adj_t, delta @ w.T)
-    return grads_w, grads_b
+    return grads
 
 
 class GradientDescentState:
@@ -306,40 +286,30 @@ class GradientDescentState:
     def __init__(self, learning_rate: float):
         self.learning_rate = learning_rate
 
-    def step(self, model: GcnModel, grads_w, grads_b) -> None:
-        for w, g in zip(model.weights, grads_w):
-            w -= self.learning_rate * g
-        if model.biases is not None and grads_b is not None:
-            for b, g in zip(model.biases, grads_b):
-                b -= self.learning_rate * g
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
+        for p, g in zip(params, grads, strict=True):
+            p -= self.learning_rate * g
 
 
 class AdamState:
-    def __init__(self, model: GcnModel, cfg: GcnConfig):
-        self.lr = cfg.learning_rate
+    """Adam with one first and second moment per parameter array."""
+
+    def __init__(self, params: list[np.ndarray], learning_rate: float):
+        self.lr = learning_rate
         self.t = 0
-        self.m_w = [np.zeros_like(w) for w in model.weights]
-        self.v_w = [np.zeros_like(w) for w in model.weights]
-        if model.biases is not None:
-            self.m_b = [np.zeros_like(b) for b in model.biases]
-            self.v_b = [np.zeros_like(b) for b in model.biases]
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
 
-    def _update(self, param, grad, m, v):
-        m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * grad
-        v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * grad * grad
-        m_hat = m / (1 - ADAM_BETA1**self.t)
-        v_hat = v / (1 - ADAM_BETA2**self.t)
-        param -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-
-    def step(self, model: GcnModel, grads_w, grads_b) -> None:
+    def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
-        for w, g, m, v in zip(model.weights, grads_w, self.m_w, self.v_w):
-            self._update(w, g, m, v)
-        if model.biases is not None and grads_b is not None:
-            for b, g, m, v in zip(model.biases, grads_b, self.m_b, self.v_b):
-                self._update(b, g, m, v)
+        for p, g, m, v in zip(params, grads, self.m, self.v, strict=True):
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            m_hat = m / (1 - ADAM_BETA1**self.t)
+            v_hat = v / (1 - ADAM_BETA2**self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @dataclass
@@ -366,9 +336,10 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
         batch.labels[batch.train_mask], cfg.weight_mode, cfg.manual_weights
     )
     model = init_model(X.shape[1], cfg.hidden_dims, cfg.seed, cfg.use_bias)
+    params = model.params
     adj_t = batch.norm_adj.transpose()
     optimizer = (
-        AdamState(model, cfg)
+        AdamState(params, cfg.learning_rate)
         if cfg.optimizer == "adam"
         else GradientDescentState(cfg.learning_rate)
     )
@@ -402,13 +373,12 @@ def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
                 )
             report.losses.append(loss)
             report.losses_mean.append(loss / n_train if n_train else 0.0)
-            grads_w, grads_b = backward(
+            grads = backward(
                 model, cache, probs, batch.labels, w_pair, batch.train_mask, adj_t
             )
-            optimizer.step(model, grads_w, grads_b)
+            optimizer.step(params, grads)
             # free this pass's activations before the next ones are allocated
-            del probs, cache, grads_w, grads_b
-            params = model.weights + (model.biases or [])
+            del probs, cache, grads
             if not all(np.isfinite(p).all() for p in params):
                 raise TrainingDiverged(
                     f"training diverged: a weight turned non-finite at epoch "
@@ -470,11 +440,8 @@ def save_model(
     ]
     for d in dims:
         parts.append(struct.pack("<I", d))
-    for w in model.weights:
-        parts.append(np.ascontiguousarray(w).tobytes())
-    if model.biases is not None:
-        for b in model.biases:
-            parts.append(np.ascontiguousarray(b).tobytes())
+    for p in model.params:
+        parts.append(np.ascontiguousarray(p).tobytes())
     Path(path).write_bytes(b"".join(parts))
     write_json(
         str(path) + ".json",

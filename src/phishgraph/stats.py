@@ -5,10 +5,12 @@ classifier. Trees are grown on bootstrap samples with Gini impurity; the best
 (feature, threshold) is searched over a random feature subset per node with
 thresholds at midpoints of consecutive distinct values. All randomness comes
 from per-tree seeds derived from one forest seed, making training fully
-deterministic. With unit weights, ties in Gini gain resolve to the lowest
-feature index and then the lowest threshold. With ``balanced`` weights the
-gains are rounded float sums, so rounding can decide between splits whose
-exact gains are equal.
+deterministic. ``balanced`` sample weights are ``class_weights``'
+inverse-frequency weights w_c = N / (2 * N_c), the rule the GCN loss uses.
+With unit weights, ties in Gini gain resolve to the lowest feature index and
+then the lowest threshold. With ``balanced`` weights the gains are rounded
+float sums, so rounding can decide between splits whose exact gains are
+equal.
 
 The split search sorts no column per node. Each feature is rank-encoded once
 per forest, and a node is the array of bootstrap rows it holds. Per drawn
@@ -35,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch, SingleClass
+from .evaluate import class_weights
 from .features import FeatureMatrix
 from .storage import write_json
 
@@ -138,16 +141,13 @@ class DecisionTree:
     class_counts: np.ndarray  # (n_nodes, 2) weighted counts
     impurity: np.ndarray      # (n_nodes,) Gini at the node
     weight: np.ndarray        # (n_nodes,) total sample weight at the node
-    max_depth: int
 
 
 @dataclass
 class Forest:
     trees: list[DecisionTree]
     tree_seeds: list[int]
-    feature_subsample: int
     feature_names: tuple[str, ...]
-    config: ForestConfig
 
 
 def _gini(counts: np.ndarray) -> float:
@@ -196,7 +196,7 @@ class _TreeBuilder:
             or counts[1] == 0
         ):
             return node
-        split = self._best_split(idx)
+        split = self._best_split(idx, counts[1])
         if split is None:
             return node
         f, thr, left_idx, right_idx = split
@@ -205,21 +205,20 @@ class _TreeBuilder:
         self.nodes[node][3] = self.grow(right_idx, depth + 1)
         return node
 
-    def _best_split(self, idx: np.ndarray):
+    def _best_split(self, idx: np.ndarray, total_w1: float):
         """Best (feature, threshold) by weighted Gini gain over a random subset.
 
-        Candidate features are scanned in ascending index and thresholds in
-        ascending value with strict improvement required, which pins the
-        tie-break order. Returns None when no split improves impurity.
+        ``total_w1`` is the node's phishing weight. Candidate features are
+        scanned in ascending index and thresholds in ascending value with
+        strict improvement required, which pins the tie-break order. Returns
+        None when no split improves impurity.
         """
         features = np.sort(
             self.rng.choice(self.n_features, size=self.k, replace=False)
         )
-        y = self.y[idx]
         w = self.w[idx]
         w1 = self.w1[idx]
         total_w = w.sum()
-        total_w1 = w[y == 1].sum()
         parent_gini = _gini(np.array([total_w - total_w1, total_w1]))
         n = len(idx)
 
@@ -271,7 +270,6 @@ class _TreeBuilder:
             class_counts=np.array(counts),
             impurity=np.array([_gini(c) for c in counts]),
             weight=np.array([float(c.sum()) for c in counts]),
-            max_depth=self.cfg.max_depth,
         )
 
 
@@ -287,12 +285,8 @@ def train_forest(
     cfg.validate(X.n_features)
 
     n = len(labels)
-    if cfg.balanced:
-        counts = np.bincount(labels, minlength=2)
-        per_class = n / (2.0 * counts)
-        sample_weights = per_class[labels]
-    else:
-        sample_weights = np.ones(n)
+    mode = "inverse_frequency" if cfg.balanced else "uniform"
+    sample_weights = np.asarray(class_weights(labels, mode))[labels]
     values, codes = zip(*(np.unique(col, return_inverse=True) for col in X.rows.T))
 
     seed_rng = np.random.default_rng(cfg.seed)
@@ -303,13 +297,7 @@ def train_forest(
         bootstrap = rng.integers(0, n, size=n)
         builder = _TreeBuilder(codes, values, labels, sample_weights, cfg, rng)
         trees.append(builder.build(bootstrap))
-    return Forest(
-        trees=trees,
-        tree_seeds=tree_seeds,
-        feature_subsample=cfg.resolved_subsample(X.n_features),
-        feature_names=X.names,
-        config=cfg,
-    )
+    return Forest(trees=trees, tree_seeds=tree_seeds, feature_names=X.names)
 
 
 def feature_importance(forest: Forest) -> list[tuple[str, float]]:

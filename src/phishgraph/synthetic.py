@@ -95,9 +95,14 @@ class SyntheticConfig:
 
     def validate(self) -> None:
         for f in fields(self):
+            value = getattr(self, f.name)
             what, check = _FIELD_TYPES[f.type]
-            if not check(getattr(self, f.name)):
-                raise InvalidConfig(f"{f.name} must be {what}, not {getattr(self, f.name)!r}")
+            if not check(value):
+                raise InvalidConfig(f"{f.name} must be {what}, not {value!r}")
+            # counts and ranges are drawn as int64; the seed is not
+            ints = value if isinstance(value, tuple) else (value,)
+            if f.type != "float" and f.name != "seed" and max(ints) >= 2**63:
+                raise InvalidConfig(f"{f.name} must be below 2**63, not {value!r}")
         if self.seed < 0:
             raise InvalidConfig("seed cannot be negative")
         if self.n_benign_addresses < 1:

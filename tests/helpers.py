@@ -289,7 +289,7 @@ def finite_difference_check(adj, X, y, model, weights_pair, dropout=0.0, seed=0,
     probs, cache = forward(
         model, adj, X, training=True, dropout_rate=dropout, dropout_seed=seed
     )
-    gw, gb = backward(model, cache, probs, y, weights_pair, mask, adj_t)
+    grads = backward(model, cache, probs, y, weights_pair, mask, adj_t)
 
     def loss_at_current():
         p, _ = forward(
@@ -297,9 +297,7 @@ def finite_difference_check(adj, X, y, model, weights_pair, dropout=0.0, seed=0,
         )
         return weighted_ce_loss(p, y, weights_pair, mask)
 
-    params = list(model.weights) + (list(model.biases) if model.biases else [])
-    grads = list(gw) + (list(gb) if model.biases else [])
-    for P, G in zip(params, grads):
+    for P, G in zip(model.params, grads, strict=True):
         for idx in np.ndindex(P.shape):
             orig = P[idx]
             P[idx] = orig + h
@@ -467,7 +465,7 @@ def reference_forest(X, labels, cfg) -> list[DecisionTree]:
             feature=np.array(feature, dtype=np.int64), threshold=np.array(threshold),
             left=np.array(left, dtype=np.int64), right=np.array(right, dtype=np.int64),
             class_counts=counts, impurity=np.array([_gini(c) for c in counts]),
-            weight=np.array([float(c.sum()) for c in counts]), max_depth=cfg.max_depth,
+            weight=np.array([float(c.sum()) for c in counts]),
         ))
     return trees
 

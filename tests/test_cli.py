@@ -279,6 +279,8 @@ class TestSynth:
             {"benign_gas_price_log_mu": 50},   # the draw exceeds 64 bits
             {"window_days": 4000},             # the window starts before block 0
             {"benign_value_log_sigma": float("nan")},  # the draw is nan
+            {"tx_per_address_range": [1, 10**30]},     # beyond int64 draws
+            {"benign_peer_count_range": [1, 10**30]},
         ],
     )
     def test_out_of_range_config_exits_2(self, config, tmp_path, capsys):
@@ -638,6 +640,19 @@ class TestFetchCommand:
                      "--rate", "0", "--out", str(out)])
         assert code == 2
         assert "http or https" in assert_clean_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--page-limit", "0"], ["--page-size", "-5"], ["--rate", "nan"]]
+    )
+    def test_bad_paging_or_rate_exits_2(self, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
+        out = tmp_path / "txs.json"
+        code = main(["fetch", "--address", str(addr(1)),
+                     "--endpoint", "http://127.0.0.1:9/api", "--rate", "0", *flags,
+                     "--out", str(out)])
+        assert code == 2
+        assert_clean_error(capsys)
         assert not out.exists()
 
     def test_unreachable_endpoint_exits_1(self, tmp_path, monkeypatch):

@@ -163,6 +163,25 @@ class TestFetch:
                 requests_per_second=0, timeout=0.2,
             )
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"page_limit": 0},
+            {"page_limit": -3},
+            {"page_size": 0},
+            {"page_size": -5},
+            {"requests_per_second": -1.0},
+            {"requests_per_second": float("nan")},
+        ],
+    )
+    def test_bad_paging_or_rate_is_invalid_config(self, flags):
+        # the endpoint is unreachable: only a check before any request passes
+        with pytest.raises(InvalidConfig):
+            fetch_address_history(
+                Address(FROM_A), "http://127.0.0.1:9/api", "key", timeout=0.2,
+                **{"requests_per_second": 0, **flags},
+            )
+
     def test_request_parameters(self):
         server = MockEtherscan({1: ok([])})
         with server as url:

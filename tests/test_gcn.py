@@ -239,11 +239,11 @@ class TestGradients:
         adj, X, y, model = random_graph_instance(6)
         before = [w.copy() for w in model.weights]
         probs, cache = forward(model, adj, X, training=True)
-        grads_w, grads_b = backward(
+        grads = backward(
             model, cache, probs, y, (1.0, 1.0), np.ones(len(y), dtype=bool),
             adj.transpose(),
         )
-        GradientDescentState(0.0).step(model, grads_w, grads_b)
+        GradientDescentState(0.0).step(model.params, grads)
         for w, orig in zip(model.weights, before):
             assert np.array_equal(w, orig)
 
@@ -253,8 +253,8 @@ class TestGradients:
         w_pair = (1.0, 1.0)
         probs, cache = forward(model, adj, X, training=True)
         before = weighted_ce_loss(probs, y, w_pair, mask)
-        grads_w, grads_b = backward(model, cache, probs, y, w_pair, mask, adj.transpose())
-        GradientDescentState(0.01).step(model, grads_w, grads_b)
+        grads = backward(model, cache, probs, y, w_pair, mask, adj.transpose())
+        GradientDescentState(0.01).step(model.params, grads)
         after_probs, _ = forward(model, adj, X, training=True)
         assert weighted_ce_loss(after_probs, y, w_pair, mask) < before
 
@@ -433,13 +433,12 @@ class TestModelSerialization:
         assert GcnConfig(**saved) == cfg
 
     def test_adam_state_updates_bias_corrected(self):
-        model = init_model(2, (3,), seed=0)
-        cfg = GcnConfig(hidden_dims=(3,), learning_rate=0.1)
-        adam = AdamState(model, cfg)
-        grads = [np.ones_like(w) for w in model.weights]
-        before = [w.copy() for w in model.weights]
-        adam.step(model, grads, None)
-        # first Adam step moves every weight by ~lr against the gradient sign
-        for w, orig in zip(model.weights, before):
-            step = orig - w
-            assert np.allclose(step, 0.1, atol=1e-6)
+        model = init_model(2, (3,), seed=0, use_bias=True)
+        adam = AdamState(model.params, learning_rate=0.1)
+        grads = [np.ones_like(p) for p in model.params]
+        before = [p.copy() for p in model.params]
+        adam.step(model.params, grads)
+        # the first step moves every weight and every bias by ~lr against the
+        # gradient sign
+        for p, orig in zip(model.weights + model.biases, before, strict=True):
+            assert np.allclose(orig - p, 0.1, atol=1e-6)
