@@ -485,13 +485,15 @@ def node_rows(tree, X: np.ndarray, rows: np.ndarray, node: int) -> np.ndarray:
 
 
 def exact_gain(X: np.ndarray, labels, weights, rows, feature: int, threshold: float):
-    """Weighted Gini decrease of a split in rational arithmetic (0 for no split)."""
+    """Weighted Gini decrease of a split in rational arithmetic (0 for no split).
+
+    ``weights`` may hold floats, taken at their exact binary value, or Fractions."""
     if feature < 0:
         return Fraction(0)
 
     def weighted_gini(part):
-        total = sum((Fraction(float(weights[r])) for r in part), Fraction(0))
-        phishing = sum((Fraction(float(weights[r])) for r in part if labels[r] == 1),
+        total = sum((Fraction(weights[r]) for r in part), Fraction(0))
+        phishing = sum((Fraction(weights[r]) for r in part if labels[r] == 1),
                        Fraction(0))
         if total == 0:
             return total, Fraction(0)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -255,7 +256,10 @@ def assert_matches_reference(X: FeatureMatrix, labels, cfg: ForestConfig) -> int
         assert cfg.balanced, f"unit-weight tree parts from the reference at node {node}"
         for name in ("class_counts", "impurity", "weight"):
             assert getattr(tree, name)[node].tobytes() == getattr(ref, name)[node].tobytes()
-        weights = (len(labels) / (2.0 * np.bincount(labels, minlength=2)))[labels]
+        # the tie is exact under the weight rule N / (2 * N_c) itself: its float
+        # roundings can make two equal gains differ in their last bits
+        counts = np.bincount(labels, minlength=2)
+        weights = [Fraction(len(labels), 2 * int(counts[c])) for c in labels]
         bootstrap = np.random.default_rng(seed).integers(0, len(labels), size=len(labels))
         rows = node_rows(ref, X.rows, bootstrap, node)
         gains = [exact_gain(X.rows, labels, weights, rows, t.feature[node], t.threshold[node])
@@ -315,6 +319,22 @@ def test_balanced_trees_part_only_at_exact_ties():
         cfg = ForestConfig(n_trees=3, max_depth=4, min_leaf=1, seed=seed, balanced=True)
         parted += assert_matches_reference(FeatureMatrix(("a", "b", "c"), rows), labels, cfg)
     assert parted > 0, "no tree parted from the reference, so no tie was checked"
+
+
+def test_balanced_tie_is_judged_under_unrounded_weights():
+    # two root splits whose gains are equal under w_c = 35 / (2 * N_c) but
+    # differ in their last bits under the rounded float weights; the third
+    # tree picks f1 where the reference picks f4
+    f1 = "AAAAABABABBBBAABABABBBAAAABBABAAAAA"
+    f4 = "CACAACACAABCAAAAABABCAACAAACCCCAACA"
+    level = {"A": -2.0, "B": -0.5, "C": -0.0}
+    rows = np.full((35, 5), -2.0)
+    rows[:, 1] = [level[c] for c in f1]
+    rows[:, 4] = [level[c] for c in f4]
+    labels = np.array([int(c) for c in "10100001100001010100000111101000011"])
+    cfg = ForestConfig(n_trees=3, max_depth=1, min_leaf=1, seed=771, balanced=True)
+    X = FeatureMatrix(tuple(f"f{i}" for i in range(5)), rows)
+    assert assert_matches_reference(X, labels, cfg) == 1
 
 
 @pytest.mark.parametrize("balanced", [False, True], ids=["unit", "balanced"])
