@@ -387,7 +387,8 @@ def _add_gcn_flags(parser: argparse.ArgumentParser) -> None:
         choices=("uniform", "inverse-frequency", "manual"),
         default="inverse-frequency",
     )
-    parser.add_argument("--manual-weights", default=None, help="'benign,phishing'")
+    parser.add_argument("--manual-weights", default=None,
+                        help="'benign,phishing', with --weight-mode manual")
     parser.add_argument("--threshold", type=float, default=0.5)
     parser.add_argument("--optimizer", choices=("adam", "gd"), default="adam")
     parser.add_argument("--use-bias", action="store_true")

@@ -26,8 +26,6 @@ _CLASSES = ("benign", "phishing")
 class SplitMasks:
     train_mask: np.ndarray
     test_mask: np.ndarray
-    seed: int
-    ratio: float
 
 
 def stratified_split(
@@ -62,7 +60,7 @@ def stratified_split(
                 f"split ratio {ratio} leaves the {side} side of {len(labels)} "
                 "addresses empty"
             )
-    return SplitMasks(train_mask=train, test_mask=test, seed=seed, ratio=ratio)
+    return SplitMasks(train_mask=train, test_mask=test)
 
 
 def class_weights(

@@ -77,6 +77,8 @@ class GcnConfig:
                 raise InvalidConfig("manual weight mode needs a (benign, phishing) pair")
             if not all(0 < w < np.inf for w in self.manual_weights):
                 raise InvalidConfig("manual weights must be positive and finite")
+        elif self.manual_weights is not None:
+            raise InvalidConfig("manual weights need weight mode 'manual'")
         if self.optimizer not in OPTIMIZERS:
             raise InvalidConfig(f"unknown optimizer {self.optimizer!r}")
         if not 0.0 < self.threshold < 1.0:

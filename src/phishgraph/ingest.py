@@ -311,6 +311,9 @@ def label_dataset(
     """
     if not phishing_list.addresses:
         logger.warning("phishing list is empty; every address will be labeled benign")
+    elif require_verified and not phishing_list.verified:
+        logger.warning("verified list is empty but verification is required; "
+                       "every address will be labeled benign")
     table, records = transaction_table(txs)
     listed, verified = (
         np.isin(table["address"], hex_column(list(group), 20)[0])

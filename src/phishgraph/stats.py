@@ -5,21 +5,18 @@ classifier. Trees are grown on bootstrap samples with Gini impurity; the best
 (feature, threshold) is searched over a random feature subset per node with
 thresholds at midpoints of consecutive distinct values. All randomness comes
 from per-tree seeds derived from one forest seed, making training fully
-deterministic. ``balanced`` sample weights are ``class_weights``'
-inverse-frequency weights w_c = N / (2 * N_c), the rule the GCN loss uses.
-With unit weights, ties in Gini gain resolve to the lowest feature index and
-then the lowest threshold. With ``balanced`` weights the gains are rounded
-float sums, so rounding can decide between splits whose exact gains are
-equal.
+deterministic. ``balanced`` weighs each class by ``class_weights``'
+inverse-frequency rule w_c = N / (2 * N_c), the rule the GCN loss uses;
+otherwise w_c = 1. A node's class mass is w_c times its count of that class's
+rows, bootstrap repeats included, so it is rounded once in either mode, and
+ties in Gini gain resolve to the lowest feature index and then the lowest
+threshold.
 
 The split search sorts no column per node. Each feature is rank-encoded once
 per forest, and a node is the array of bootstrap rows it holds. Per drawn
-feature, histograms of the node's ranks with one bin per distinct value (rows,
-weight, phishing weight) give by cumulative sums the left side of every
+feature, two histograms of the node's ranks with one bin per distinct value
+(rows, phishing rows) give by cumulative sums the class counts left of every
 threshold: LightGBM's histogram search (Ke et al., 2017) without its binning.
-With unit weights the sums are exact integers; ``balanced`` weights are summed
-per bin, so between splits whose exact gains tie they can round differently
-from a running sum over sorted rows.
 
 Importance is mean decrease in impurity: per tree, each split contributes its
 weighted impurity decrease to the split feature; per-tree vectors are
@@ -37,11 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch, SingleClass
-from .evaluate import class_weights
+from .evaluate import _CLASSES, class_weights
 from .features import FeatureMatrix
 from .storage import write_json
-
-_CLASS_NAMES = ("benign", "phishing")
 
 
 @dataclass
@@ -62,7 +57,7 @@ class ClassFeatureStats:
             writer = csv.writer(fh)
             writer.writerow(["feature", "class", "support", "mean", "max", "std"])
             for i, name in enumerate(self.feature_names):
-                for cls in _CLASS_NAMES:
+                for cls in _CLASSES:
                     if self.present(cls):
                         writer.writerow(
                             [
@@ -88,7 +83,7 @@ def class_feature_stats(X: FeatureMatrix, labels: np.ndarray) -> ClassFeatureSta
     std: dict[str, np.ndarray] = {}
     support: dict[str, int] = {}
     d = X.n_features
-    for code, cls in enumerate(_CLASS_NAMES):
+    for code, cls in enumerate(_CLASSES):
         rows = X.rows[labels == code]
         support[cls] = rows.shape[0]
         if rows.shape[0] == 0:
@@ -109,7 +104,7 @@ class ForestConfig:
     feature_subsample: int | None = None  # default: ceil(sqrt(n_features))
     min_leaf: int = 2
     seed: int = 0
-    balanced: bool = False  # inverse-frequency sample weights
+    balanced: bool = False  # inverse-frequency class weights
 
     def validate(self, n_features: int) -> None:
         if self.n_trees < 1:
@@ -138,9 +133,9 @@ class DecisionTree:
     threshold: np.ndarray     # (n_nodes,) float
     left: np.ndarray          # (n_nodes,) int, -1 for leaves
     right: np.ndarray
-    class_counts: np.ndarray  # (n_nodes, 2) weighted counts
+    class_counts: np.ndarray  # (n_nodes, 2) class masses, w_c * row count
     impurity: np.ndarray      # (n_nodes,) Gini at the node
-    weight: np.ndarray        # (n_nodes,) total sample weight at the node
+    weight: np.ndarray        # (n_nodes,) total class mass at the node
 
 
 @dataclass
@@ -166,15 +161,14 @@ class _TreeBuilder:
         codes: tuple[np.ndarray, ...],
         values: tuple[np.ndarray, ...],
         y: np.ndarray,
-        weights: np.ndarray,
+        weights: tuple[float, float],
         cfg: ForestConfig,
         rng: np.random.Generator,
     ):
         self.codes = codes      # per feature, the rank of each row's value
         self.values = values    # per feature, the ascending distinct values
         self.y = y
-        self.w = weights
-        self.w1 = weights * (y == 1)
+        self.w0, self.w1 = weights  # the mass of one benign, one phishing row
         self.cfg = cfg
         self.rng = rng
         self.n_features = len(values)
@@ -182,21 +176,18 @@ class _TreeBuilder:
         self.nodes: list[list] = []  # [feature, threshold, left, right, counts]
 
     def grow(self, idx: np.ndarray, depth: int) -> int:
-        y_here = self.y[idx]
-        w_here = self.w[idx]
-        counts = np.array(
-            [w_here[y_here == 0].sum(), w_here[y_here == 1].sum()]
-        )
+        y = self.y[idx]
+        n1 = int(y.sum())
+        counts = np.array([self.w0 * (len(idx) - n1), self.w1 * n1])
         node = len(self.nodes)
         self.nodes.append([-1, 0.0, -1, -1, counts])
         if (
             depth >= self.cfg.max_depth
             or len(idx) < 2 * self.cfg.min_leaf
-            or counts[0] == 0
-            or counts[1] == 0
+            or not 0 < n1 < len(idx)
         ):
             return node
-        split = self._best_split(idx, counts[1])
+        split = self._best_split(idx, y, n1)
         if split is None:
             return node
         f, thr, left_idx, right_idx = split
@@ -205,22 +196,22 @@ class _TreeBuilder:
         self.nodes[node][3] = self.grow(right_idx, depth + 1)
         return node
 
-    def _best_split(self, idx: np.ndarray, total_w1: float):
+    def _best_split(self, idx: np.ndarray, y: np.ndarray, n1: int):
         """Best (feature, threshold) by weighted Gini gain over a random subset.
 
-        ``total_w1`` is the node's phishing weight. Candidate features are
-        scanned in ascending index and thresholds in ascending value with
-        strict improvement required, which pins the tie-break order. Returns
-        None when no split improves impurity.
+        ``y`` holds the labels of the node's rows ``idx``, ``n1`` of them
+        phishing. Candidate features are scanned in ascending index and
+        thresholds in ascending value with strict improvement required, which
+        pins the tie-break order. Returns None when no split improves impurity.
         """
         features = np.sort(
             self.rng.choice(self.n_features, size=self.k, replace=False)
         )
-        w = self.w[idx]
-        w1 = self.w1[idx]
-        total_w = w.sum()
-        parent_gini = _gini(np.array([total_w - total_w1, total_w1]))
         n = len(idx)
+        n0 = n - n1
+        w0, w1 = self.w0, self.w1
+        total_w = w0 * n0 + w1 * n1
+        parent_gini = _gini(np.array([w0 * n0, w1 * n1]))
 
         best_gain = 0.0
         best = None
@@ -236,14 +227,15 @@ class _TreeBuilder:
             if not valid.any():
                 continue
             cuts = np.flatnonzero(valid)
-            lw = np.cumsum(np.bincount(key, weights=w)[cut_bins])[cuts]
-            lw1 = np.cumsum(np.bincount(key, weights=w1)[cut_bins])[cuts]
-            rw = total_w - lw
-            rw1 = total_w1 - lw1
+            l1 = np.cumsum(np.bincount(key, weights=y)[cut_bins])[cuts]
+            l0 = n_left[cuts] - l1
+            lw0, lw1 = w0 * l0, w1 * l1
+            rw0, rw1 = w0 * (n0 - l0), w1 * (n1 - l1)
+            lw, rw = lw0 + lw1, rw0 + rw1
             # no division by zero: a valid cut leaves at least min_leaf >= 1
-            # rows on each side, and every row's weight is positive
-            gini_l = 1.0 - ((lw1 / lw) ** 2 + ((lw - lw1) / lw) ** 2)
-            gini_r = 1.0 - ((rw1 / rw) ** 2 + ((rw - rw1) / rw) ** 2)
+            # rows on each side, and both class weights are positive
+            gini_l = 1.0 - ((lw1 / lw) ** 2 + (lw0 / lw) ** 2)
+            gini_r = 1.0 - ((rw1 / rw) ** 2 + (rw0 / rw) ** 2)
             child = (lw * gini_l + rw * gini_r) / total_w
             gain = parent_gini - child
             pos = int(np.argmax(gain))
@@ -285,8 +277,7 @@ def train_forest(
     cfg.validate(X.n_features)
 
     n = len(labels)
-    mode = "inverse_frequency" if cfg.balanced else "uniform"
-    sample_weights = np.asarray(class_weights(labels, mode))[labels]
+    weights = class_weights(labels, "inverse_frequency" if cfg.balanced else "uniform")
     values, codes = zip(*(np.unique(col, return_inverse=True) for col in X.rows.T))
 
     seed_rng = np.random.default_rng(cfg.seed)
@@ -295,7 +286,7 @@ def train_forest(
     for tree_seed in tree_seeds:
         rng = np.random.default_rng(tree_seed)
         bootstrap = rng.integers(0, n, size=n)
-        builder = _TreeBuilder(codes, values, labels, sample_weights, cfg, rng)
+        builder = _TreeBuilder(codes, values, labels, weights, cfg, rng)
         trees.append(builder.build(bootstrap))
     return Forest(trees=trees, tree_seeds=tree_seeds, feature_names=X.names)
 

@@ -15,7 +15,6 @@ import io
 import json
 import re
 import struct
-from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
@@ -360,28 +359,30 @@ def _gini(counts: np.ndarray) -> float:
 
 class _SortedTreeBuilder:
     """The forest's former split search: per node and drawn feature, a stable
-    argsort of the node's bootstrap column and cumulative sums in that order."""
+    argsort of the node's bootstrap column and cumulative class counts in that
+    order. A class's mass is its weight times its row count."""
 
     def __init__(self, X, y, weights, cfg, rng, n_features):
-        self.X, self.y, self.w, self.cfg, self.rng = X, y, weights, cfg, rng
+        self.X, self.y, self.cfg, self.rng = X, y, cfg, rng
+        self.w0, self.w1 = weights
         self.k = cfg.resolved_subsample(n_features)
         self.n_features = n_features
         self.nodes: list[tuple] = []  # (feature, threshold, left, right, counts)
 
     def grow(self, idx: np.ndarray, depth: int) -> int:
-        y_here = self.y[idx]
-        w_here = self.w[idx]
-        counts = np.array([w_here[y_here == 0].sum(), w_here[y_here == 1].sum()])
+        n1 = int(np.count_nonzero(self.y[idx] == 1))
+        n0 = len(idx) - n1
+        counts = np.array([self.w0 * n0, self.w1 * n1])
         node = len(self.nodes)
         self.nodes.append([-1, 0.0, -1, -1, counts])
         if (
             depth >= self.cfg.max_depth
             or len(idx) < 2 * self.cfg.min_leaf
-            or counts[0] == 0
-            or counts[1] == 0
+            or n0 == 0
+            or n1 == 0
         ):
             return node
-        split = self._best_split(idx)
+        split = self._best_split(idx, n0, n1)
         if split is None:
             return node
         f, thr, left_idx, right_idx = split
@@ -390,13 +391,12 @@ class _SortedTreeBuilder:
         self.nodes[node][3] = self.grow(right_idx, depth + 1)
         return node
 
-    def _best_split(self, idx: np.ndarray):
+    def _best_split(self, idx: np.ndarray, n0: int, n1: int):
         features = np.sort(self.rng.choice(self.n_features, size=self.k, replace=False))
         y = self.y[idx]
-        w = self.w[idx]
-        total_w = w.sum()
-        total_w1 = w[y == 1].sum()
-        parent_gini = _gini(np.array([total_w - total_w1, total_w1]))
+        w0, w1 = self.w0, self.w1
+        total_w = w0 * n0 + w1 * n1
+        parent_gini = _gini(np.array([w0 * n0, w1 * n1]))
         n = len(idx)
 
         best_gain = 0.0
@@ -408,23 +408,21 @@ class _SortedTreeBuilder:
             boundaries = np.nonzero(np.diff(v_sorted) > 0)[0]
             if boundaries.size == 0:
                 continue
-            w_sorted = w[order]
-            w1_sorted = w_sorted * (y[order] == 1)
-            cum_w = np.cumsum(w_sorted)
-            cum_w1 = np.cumsum(w1_sorted)
+            cum_n1 = np.cumsum(y[order] == 1)
 
             n_left = boundaries + 1
             valid = (n_left >= self.cfg.min_leaf) & (n - n_left >= self.cfg.min_leaf)
             if not valid.any():
                 continue
             b = boundaries[valid]
-            lw = cum_w[b]
-            lw1 = cum_w1[b]
-            rw = total_w - lw
-            rw1 = total_w1 - lw1
+            l1 = cum_n1[b]
+            l0 = b + 1 - l1
+            lw0, lw1 = w0 * l0, w1 * l1
+            rw0, rw1 = w0 * (n0 - l0), w1 * (n1 - l1)
+            lw, rw = lw0 + lw1, rw0 + rw1
             with np.errstate(divide="ignore", invalid="ignore"):
-                gini_l = 1.0 - ((lw1 / lw) ** 2 + ((lw - lw1) / lw) ** 2)
-                gini_r = 1.0 - ((rw1 / rw) ** 2 + ((rw - rw1) / rw) ** 2)
+                gini_l = 1.0 - ((lw1 / lw) ** 2 + (lw0 / lw) ** 2)
+                gini_r = 1.0 - ((rw1 / rw) ** 2 + (rw0 / rw) ** 2)
             gini_l = np.where(lw > 0, gini_l, 0.0)
             gini_r = np.where(rw > 0, gini_r, 0.0)
             child = (lw * gini_l + rw * gini_r) / total_w
@@ -448,16 +446,16 @@ def reference_forest(X, labels, cfg) -> list[DecisionTree]:
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     if cfg.balanced:
-        sample_weights = (n / (2.0 * np.bincount(labels, minlength=2)))[labels]
+        weights = tuple(n / (2.0 * np.bincount(labels, minlength=2)))
     else:
-        sample_weights = np.ones(n)
+        weights = (1.0, 1.0)
     seeds = np.random.default_rng(cfg.seed).integers(0, 2**63, size=cfg.n_trees)
     trees = []
     for seed in seeds:
         rng = np.random.default_rng(int(seed))
         bootstrap = rng.integers(0, n, size=n)
         builder = _SortedTreeBuilder(X.rows[bootstrap], labels[bootstrap],
-                                     sample_weights[bootstrap], cfg, rng, X.n_features)
+                                     weights, cfg, rng, X.n_features)
         builder.grow(np.arange(n), 0)
         feature, threshold, left, right, counts = zip(*builder.nodes)
         counts = np.array(counts)
@@ -468,42 +466,6 @@ def reference_forest(X, labels, cfg) -> list[DecisionTree]:
             weight=np.array([float(c.sum()) for c in counts]),
         ))
     return trees
-
-
-def node_rows(tree, X: np.ndarray, rows: np.ndarray, node: int) -> np.ndarray:
-    """The rows of ``rows`` that reach ``node``, found by walking down from the root."""
-    parent = {int(c): (p, side) for p in range(len(tree.feature))
-              for side, c in ((True, tree.left[p]), (False, tree.right[p])) if c >= 0}
-    path = []
-    while node in parent:
-        node, side = parent[node]
-        path.append((node, side))
-    for p, go_left in reversed(path):
-        below = X[rows, tree.feature[p]] <= tree.threshold[p]
-        rows = rows[below == go_left]
-    return rows
-
-
-def exact_gain(X: np.ndarray, labels, weights, rows, feature: int, threshold: float):
-    """Weighted Gini decrease of a split in rational arithmetic (0 for no split).
-
-    ``weights`` may hold floats, taken at their exact binary value, or Fractions."""
-    if feature < 0:
-        return Fraction(0)
-
-    def weighted_gini(part):
-        total = sum((Fraction(weights[r]) for r in part), Fraction(0))
-        phishing = sum((Fraction(weights[r]) for r in part if labels[r] == 1),
-                       Fraction(0))
-        if total == 0:
-            return total, Fraction(0)
-        p = phishing / total
-        return total, 1 - p * p - (1 - p) * (1 - p)
-
-    total, parent = weighted_gini(rows)
-    below = X[rows, feature] <= threshold
-    (lw, lg), (rw, rg) = weighted_gini(rows[below]), weighted_gini(rows[~below])
-    return parent - (lw * lg + rw * rg) / total
 
 
 def brute_force_metrics(pred, truth) -> dict:

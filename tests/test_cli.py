@@ -133,6 +133,18 @@ class TestIngest:
             a, b = (Path(str(out) + suffix).read_bytes() for out in outs)
             assert a == b
 
+    def test_require_verified_without_verified_list_warns(self, ingest_files, tmp_path,
+                                                           capsys):
+        tx_file, plist = ingest_files
+        out = tmp_path / "dataset.bin"
+        code = main(["ingest", "--tx", str(tx_file), "--phishing-list", str(plist),
+                     "--require-verified", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == (
+            "warning: verified list is empty but verification is required; "
+            "every address will be labeled benign\n")
+        assert Label.PHISHING not in labels(load_dataset(out)).values()
+
     def test_missing_phishing_list_flag_exits_2(self, ingest_files, capsys):
         tx_file, _ = ingest_files
         with pytest.raises(SystemExit) as err:
@@ -431,6 +443,7 @@ class TestRun:
             ["--lr", "inf"],
             ["--weight-mode", "manual", "--manual-weights", "nan,1"],
             ["--weight-mode", "manual", "--manual-weights", "1,inf"],
+            ["--manual-weights", "1,2.5"],
         ],
     )
     def test_malformed_gcn_flag_exits_2(self, flags, dataset, tmp_path, capsys):

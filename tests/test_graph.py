@@ -316,15 +316,13 @@ class TestTrainingInputs:
 
     def test_split_of_wrong_length_rejected(self):
         ds, g, X, split = self.make_inputs()
-        short = SplitMasks(split.train_mask[:-1], split.test_mask[:-1],
-                           split.seed, split.ratio)
+        short = SplitMasks(split.train_mask[:-1], split.test_mask[:-1])
         with pytest.raises(ShapeMismatch, match="masks"):
             to_training_inputs(g, X, short)
 
     def test_overlapping_masks_rejected(self):
         ds, g, X, split = self.make_inputs()
-        overlap = SplitMasks(split.train_mask, split.test_mask.copy(),
-                             split.seed, split.ratio)
+        overlap = SplitMasks(split.train_mask, split.test_mask.copy())
         overlap.test_mask[np.argmax(split.train_mask)] = True
         with pytest.raises(ShapeMismatch, match="overlap"):
             to_training_inputs(g, X, overlap)
