@@ -146,8 +146,10 @@ def _synth_config(args) -> SyntheticConfig:
     payload = {}
     if args.config:
         try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.loads(Path(args.config).read_text(encoding="utf-8-sig"))
+        # ValueError covers bad bytes, bad syntax and an integer literal with more
+        # digits than int() converts; RecursionError, arrays nested too deep
+        except (ValueError, RecursionError) as exc:
             raise InvalidConfig(f"{args.config}: not a JSON config: {exc}") from None
     flags = {"seed": args.seed, "n_benign_addresses": args.benign,
              "n_phishing_addresses": args.phishing}

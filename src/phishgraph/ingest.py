@@ -288,7 +288,7 @@ class PhishingList:
 
 def _read_address_file(path: str | Path) -> frozenset[str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"{path}: not a UTF-8 address list: {exc}") from None
     lines = [line for line in map(str.strip, text.splitlines())

@@ -10,7 +10,9 @@ inverse-frequency rule w_c = N / (2 * N_c), the rule the GCN loss uses;
 otherwise w_c = 1. A node's class mass is w_c times its count of that class's
 rows, bootstrap repeats included, so it is rounded once in either mode, and
 ties in Gini gain resolve to the lowest feature index and then the lowest
-threshold.
+threshold. One Gini rule, ``_gini``, scores parents, children and stored
+nodes in plain float64 products, with no BLAS call, so the trees and their
+importance do not depend on the CPU's BLAS kernel.
 
 The split search sorts no column per node. Each feature is rank-encoded once
 per forest, and a node is the array of bootstrap rows it holds. Per drawn
@@ -141,16 +143,14 @@ class DecisionTree:
 @dataclass
 class Forest:
     trees: list[DecisionTree]
-    tree_seeds: list[int]
     feature_names: tuple[str, ...]
 
 
-def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
+def _gini(c0, c1):
+    """Gini impurity of class masses (scalars or arrays) with a positive sum;
+    squares are products, so scalar and array calls round alike."""
+    p0, p1 = c0 / (c0 + c1), c1 / (c0 + c1)
+    return 1.0 - (p1 * p1 + p0 * p0)
 
 
 class _TreeBuilder:
@@ -211,7 +211,7 @@ class _TreeBuilder:
         n0 = n - n1
         w0, w1 = self.w0, self.w1
         total_w = w0 * n0 + w1 * n1
-        parent_gini = _gini(np.array([w0 * n0, w1 * n1]))
+        parent_gini = _gini(w0 * n0, w1 * n1)
 
         best_gain = 0.0
         best = None
@@ -231,12 +231,11 @@ class _TreeBuilder:
             l0 = n_left[cuts] - l1
             lw0, lw1 = w0 * l0, w1 * l1
             rw0, rw1 = w0 * (n0 - l0), w1 * (n1 - l1)
-            lw, rw = lw0 + lw1, rw0 + rw1
             # no division by zero: a valid cut leaves at least min_leaf >= 1
             # rows on each side, and both class weights are positive
-            gini_l = 1.0 - ((lw1 / lw) ** 2 + (lw0 / lw) ** 2)
-            gini_r = 1.0 - ((rw1 / rw) ** 2 + (rw0 / rw) ** 2)
-            child = (lw * gini_l + rw * gini_r) / total_w
+            child = (
+                (lw0 + lw1) * _gini(lw0, lw1) + (rw0 + rw1) * _gini(rw0, rw1)
+            ) / total_w
             gain = parent_gini - child
             pos = int(np.argmax(gain))
             if gain[pos] > best_gain:
@@ -254,14 +253,15 @@ class _TreeBuilder:
     def build(self, bootstrap: np.ndarray) -> DecisionTree:
         self.grow(bootstrap, 0)
         feature, threshold, left, right, counts = zip(*self.nodes)
+        counts = np.array(counts)
         return DecisionTree(
             feature=np.array(feature, dtype=np.int64),
             threshold=np.array(threshold),
             left=np.array(left, dtype=np.int64),
             right=np.array(right, dtype=np.int64),
-            class_counts=np.array(counts),
-            impurity=np.array([_gini(c) for c in counts]),
-            weight=np.array([float(c.sum()) for c in counts]),
+            class_counts=counts,
+            impurity=_gini(counts[:, 0], counts[:, 1]),
+            weight=counts[:, 0] + counts[:, 1],
         )
 
 
@@ -281,14 +281,13 @@ def train_forest(
     values, codes = zip(*(np.unique(col, return_inverse=True) for col in X.rows.T))
 
     seed_rng = np.random.default_rng(cfg.seed)
-    tree_seeds = [int(s) for s in seed_rng.integers(0, 2**63, size=cfg.n_trees)]
     trees = []
-    for tree_seed in tree_seeds:
+    for tree_seed in seed_rng.integers(0, 2**63, size=cfg.n_trees):
         rng = np.random.default_rng(tree_seed)
         bootstrap = rng.integers(0, n, size=n)
         builder = _TreeBuilder(codes, values, labels, weights, cfg, rng)
         trees.append(builder.build(bootstrap))
-    return Forest(trees=trees, tree_seeds=tree_seeds, feature_names=X.names)
+    return Forest(trees=trees, feature_names=X.names)
 
 
 def feature_importance(forest: Forest) -> list[tuple[str, float]]:

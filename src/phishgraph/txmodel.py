@@ -142,9 +142,7 @@ class TxColumns:
 
     @staticmethod
     def concat(parts: Sequence["TxColumns"]) -> "TxColumns":
-        if not parts:
-            ints, hashes, ends = np.zeros(0, np.uint64), np.zeros(0, "S32"), np.zeros(0, "S20")
-            return TxColumns(ints, ints, hashes, ends, ends, ints, ints, ints, ints)
+        """Stack one or more column sets in order."""
         return TxColumns(*map(np.concatenate, zip(*(p.columns() for p in parts))))
 
 

@@ -350,11 +350,9 @@ def forest_vote(forest, rows: np.ndarray) -> np.ndarray:
 
 
 def _gini(counts: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 0:
-        return 0.0
-    p = counts / total
-    return float(1.0 - np.dot(p, p))
+    c0, c1 = float(counts[0]), float(counts[1])
+    p0, p1 = c0 / (c0 + c1), c1 / (c0 + c1)
+    return 1.0 - (p0 * p0 + p1 * p1)
 
 
 class _SortedTreeBuilder:

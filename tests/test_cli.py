@@ -176,6 +176,25 @@ class TestIngest:
         assert code == 2
         assert "bad-list.txt" in assert_clean_error(capsys)
 
+    @pytest.mark.parametrize("flag", ["--phishing-list", "--verified"])
+    def test_bom_led_address_list_gives_the_same_dataset(self, flag, ingest_files,
+                                                         tmp_path):
+        """A UTF-8 byte-order mark before the first line, an address or a
+        comment, is not part of it."""
+        tx_file, _ = ingest_files
+        texts = {"--phishing-list": f"{addr(2)}\n{addr(3)}\n",
+                 "--verified": f"# flagged and confirmed\n{addr(2)}\n"}
+        outs = []
+        for bom in ("", "\ufeff"):
+            outs.append(tmp_path / f"ds{len(bom)}.bin")
+            argv = ["ingest", "--tx", str(tx_file), "--out", str(outs[-1])]
+            for name, text in texts.items():
+                path = tmp_path / f"{name.strip('-')}{len(bom)}.txt"
+                path.write_text((bom if name == flag else "") + text, encoding="utf-8")
+                argv += [name, str(path)]
+            assert main(argv) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_missing_input_file_exits_1(self, tmp_path, capsys):
         plist = tmp_path / "p.txt"
         plist.write_text(f"{addr(1)}\n")
@@ -314,6 +333,8 @@ class TestSynth:
             ('{"tx_per_address_range": 4}', []),
             ("[1]", []),
             ("not json", []),
+            pytest.param("[" * 100_000 + "]" * 100_000, [], id="nested-too-deep"),
+            pytest.param('{"seed": ' + "9" * 5_000 + "}", [], id="int-too-long"),
         ],
     )
     def test_malformed_config_exits_2(self, text, flags, tmp_path, capsys):
@@ -322,6 +343,17 @@ class TestSynth:
         argv = ["synth", "--config", str(cfg_path), *flags, "--out", str(tmp_path / "x.bin")]
         assert main(argv) == 2
         assert_clean_error(capsys)
+
+    def test_bom_led_config_gives_the_same_corpus(self, tmp_path):
+        """A UTF-8 byte-order mark before the JSON is not part of it."""
+        text = json.dumps({"n_benign_addresses": 30, "n_phishing_addresses": 8, "seed": 3})
+        outs = []
+        for bom in ("", "\ufeff"):
+            cfg_path = tmp_path / f"cfg{len(bom)}.json"
+            cfg_path.write_text(bom + text, encoding="utf-8")
+            outs.append(tmp_path / f"ds{len(bom)}.bin")
+            assert main(["synth", "--config", str(cfg_path), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_pinned_digests(self, tmp_path):
         """Generated corpora are fixed byte for byte by their config."""
@@ -570,6 +602,26 @@ class TestImportance:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_same_importance_under_the_baseline_blas_kernel(self, tmp_path):
+        """Run as programs, one of them with OpenBLAS held to Prescott, the
+        SSE3 kernel every x86-64 CPU runs: importance.json is byte-equal. A
+        numpy without OpenBLAS ignores the variable."""
+        ds = tmp_path / "ds.bin"
+        assert main(["synth", "--seed", "1", "--out", str(ds)]) == 0
+        env = {**os.environ, "PYTHONPATH": str(Path(phishgraph.__file__).parents[1])}
+        env.pop("OPENBLAS_CORETYPE", None)
+        outs = []
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Prescott"}):
+            outs.append(tmp_path / f"imp{len(extra)}.json")
+            proc = subprocess.run(
+                [sys.executable, "-m", "phishgraph.cli", "importance", "--dataset", str(ds),
+                 "--feature-set", "both", "--balanced", "--trees", "20",
+                 "--out", str(outs[-1])],
+                capture_output=True, text=True, env={**env, **extra}, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_single_tree_degenerate_run(self, tmp_path):
         ds_path = planted_value_dataset(tmp_path)

@@ -103,7 +103,6 @@ class TestForest:
         cfg = ForestConfig(n_trees=10, seed=11)
         f1 = train_forest(X, labels, cfg)
         f2 = train_forest(X, labels, cfg)
-        assert f1.tree_seeds == f2.tree_seeds
         for t1, t2 in zip(f1.trees, f2.trees):
             assert np.array_equal(t1.feature, t2.feature)
             assert np.array_equal(t1.threshold, t2.threshold)
