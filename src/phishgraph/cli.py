@@ -95,6 +95,21 @@ def _load_features(dataset: str | Path, feature_set: str):
 # ---------------------------------------------------------------- ingest
 
 
+def _parse_exports(tx_paths: list[str]) -> tuple[TxColumns, list[dict]]:
+    """The accepted rows of every export, concatenated in order, and each
+    file's rejects section. Each file's own columns end with the call."""
+    parts, reject_sections = [], []
+    for tx_path in tx_paths:
+        json_file = Path(tx_path).suffix.lower() == ".json"
+        try:
+            result = (parse_etherscan_json if json_file else parse_etherscan_csv)(tx_path)
+        except (MalformedHeader, MalformedDocument) as exc:
+            raise type(exc)(f"{tx_path}: {exc}") from None
+        parts.append(result.transactions)
+        reject_sections.append({"file": str(tx_path), **result.rejects_json()})
+    return TxColumns.concat(parts), reject_sections
+
+
 def _cmd_ingest(args) -> int:
     out = Path(args.out)
     inputs = list(args.tx) + [args.phishing_list] + (
@@ -113,19 +128,11 @@ def _cmd_ingest(args) -> int:
         [out.name, out.name + ".clean.json"],
     )
 
-    parts, reject_sections = [], []
-    for tx_path in args.tx:
-        json_file = Path(tx_path).suffix.lower() == ".json"
-        try:
-            result = (parse_etherscan_json if json_file else parse_etherscan_csv)(tx_path)
-        except (MalformedHeader, MalformedDocument) as exc:
-            raise type(exc)(f"{tx_path}: {exc}") from None
-        parts.append(result.transactions)
-        reject_sections.append({"file": str(tx_path), **result.rejects_json()})
-
-    cleaned, report = clean(TxColumns.concat(parts))
+    # the lists first: a malformed one fails before any export is parsed
     plist = PhishingList.from_files(args.phishing_list, args.verified)
-    ds = label_dataset(cleaned, plist, require_verified=args.require_verified)
+    txs, reject_sections = _parse_exports(args.tx)
+    txs, report = clean(txs)
+    ds = label_dataset(txs, plist, require_verified=args.require_verified)
     save_dataset(ds, out)
     write_json(
         Path(str(out) + ".clean.json"),

@@ -188,12 +188,26 @@ def _parse_csv_stream(stream: IO[str]) -> ParseResult:
     return _validate(rows, row_numbers, [])
 
 
-def parse_etherscan_json(source: ByteSource) -> ParseResult:
-    """Parse an ``account txlist`` JSON envelope; same semantics as the CSV parser."""
+def _json_text(source: ByteSource) -> str:
+    """The text of a JSON file, decoded as ``json.loads`` decodes bytes:
+    UTF-8, -16 or -32, told apart by a byte-order mark or the nulls around
+    the first characters. Only the text outlives the call, not the bytes."""
     if isinstance(source, (str, Path)):
         source = Path(source).read_bytes()
+    elif not isinstance(source, bytes):
+        source = source.read()
+    return source.decode(json.detect_encoding(source), "surrogatepass")
+
+
+def parse_etherscan_json(source: ByteSource) -> ParseResult:
+    """Parse an ``account txlist`` JSON envelope; same semantics as the CSV parser.
+
+    Bytes, a binary stream and a path are read alike. Read from a path or
+    stream, the bytes last until they are decoded and the text until it is
+    parsed, so neither is held while the rows are checked.
+    """
     try:
-        document = json.loads(source if isinstance(source, bytes) else source.read())
+        document = json.loads(_json_text(source))
     # ValueError covers bad bytes, bad syntax and an integer literal with more
     # digits than int() converts; RecursionError, arrays nested too deep
     except (ValueError, RecursionError) as exc:

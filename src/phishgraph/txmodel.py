@@ -50,10 +50,18 @@ def hex_column(texts: Sequence[str], nbytes: int) -> tuple[np.ndarray, np.ndarra
     bytes."""
     bodies = [t.strip().lower().removeprefix("0x") for t in texts]
     ok = np.fromiter(map(len, bodies), np.intp, len(bodies)) == 2 * nbytes
-    if not _HEX_RE.fullmatch("".join(compress(bodies, ok))):
+    joined = "".join(compress(bodies, ok))
+    try:
+        raw = bytes.fromhex(joined)
+    except ValueError:
+        raw = b""
+    # fromhex skips ASCII whitespace between digit pairs, so a short
+    # decode means some body held whitespace: check each body then
+    if 2 * len(raw) != len(joined):
         ok &= np.array([_HEX_RE.fullmatch(b) is not None for b in bodies], dtype=bool)
+        raw = bytes.fromhex("".join(compress(bodies, ok)))
     column = np.zeros(len(bodies), f"S{nbytes}")
-    column[ok] = np.frombuffer(bytes.fromhex("".join(compress(bodies, ok))), f"S{nbytes}")
+    column[ok] = np.frombuffer(raw, f"S{nbytes}")
     return column, ok
 
 

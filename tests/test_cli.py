@@ -177,6 +177,33 @@ class TestIngest:
         assert "bad-list.txt" in assert_clean_error(capsys)
 
     @pytest.mark.parametrize("flag", ["--phishing-list", "--verified"])
+    @pytest.mark.parametrize("line, named", [
+        (b"0x\xff", "bad-list.txt"),  # not UTF-8: the file is named
+        (b"0xnot-an-address", "0xnot-an-address"),  # the bad line is named
+    ], ids=["non-utf8", "bad-address"])
+    def test_bad_address_list_exits_2_before_any_export_is_parsed(
+            self, flag, line, named, ingest_files, tmp_path, capsys, monkeypatch):
+        tx_file, plist = ingest_files
+        export = tmp_path / "large.json"
+        entry = dict(zip(HEADER.split(","), csv_row(1, addr(1), addr(2)).split(",")))
+        export.write_text(json.dumps({"status": "1", "message": "OK",
+                                      "result": [entry] * 20_000}))
+        bad = tmp_path / "bad-list.txt"
+        bad.write_bytes(f"{addr(2)}\n".encode() + line + b"\n")
+        parsed = []
+        for name in ("parse_etherscan_csv", "parse_etherscan_json"):
+            parse = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda path, parse=parse:
+                                parsed.append(path) or parse(path))
+        argv = ["ingest", "--tx", str(tx_file), "--tx", str(export),
+                "--out", str(tmp_path / "ds.bin")]
+        for name, path in {"--phishing-list": plist, "--verified": plist, flag: bad}.items():
+            argv += [name, str(path)]
+        assert main(argv) == 2
+        assert named in assert_clean_error(capsys)
+        assert parsed == []
+
+    @pytest.mark.parametrize("flag", ["--phishing-list", "--verified"])
     def test_bom_led_address_list_gives_the_same_dataset(self, flag, ingest_files,
                                                          tmp_path):
         """A UTF-8 byte-order mark before the first line, an address or a

@@ -1,7 +1,9 @@
+import codecs
 import csv
 import io
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -199,7 +201,8 @@ class TestJsonParser:
     @pytest.mark.parametrize("blob", [
         b'{"status": "1", "result": [' + b"1" * 5000 + b"]}",  # more digits than int() reads
         b'{"status": "1", "result": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-    ], ids=["long-integer-literal", "deep-nesting"])
+        codecs.BOM_UTF8 * 2 + envelope([]),  # one mark is dropped, a second is text
+    ], ids=["long-integer-literal", "deep-nesting", "double-byte-order-mark"])
     def test_unreadable_json_is_malformed(self, blob):
         with pytest.raises(MalformedDocument, match="invalid JSON"):
             parse_etherscan_json(blob)
@@ -269,6 +272,9 @@ def hex_texts(digits: int):
         body.map(lambda b: "0x" + b[:-1] + "g"),
         body.map(lambda b: "0x" + b[:-1] + "\u0665"),
         body.map(lambda b: "0x0x" + b[2:]),
+        # the right length, but whitespace where bytes.fromhex skips it
+        body.map(lambda b: "0x" + b[:2] + " a" + b[4:]),
+        body.map(lambda b: "0x" + b[:2] + "\t" + b[2:-4] + "\n" + b[-4:-2]),
         st.text(st.characters(blacklist_characters="\x00"), max_size=4),
     )
     return st.one_of(valid, valid, invalid)
@@ -348,6 +354,57 @@ def test_csv_columns_match_per_row_reference(blob):
 def test_json_columns_match_per_row_reference(entries):
     blob = envelope(entries)
     assert parse_view(parse_etherscan_json(blob)) == reference_parse_json(blob)
+
+
+# Each encoding json.loads accepts for bytes: (byte-order mark, codec)
+JSON_ENCODINGS = [(b"", "utf-8"), (codecs.BOM_UTF8, "utf-8"),
+                  (b"", "utf-16-le"), (codecs.BOM_UTF16_LE, "utf-16-le"),
+                  (b"", "utf-16-be"), (codecs.BOM_UTF16_BE, "utf-16-be"),
+                  (b"", "utf-32-le"), (codecs.BOM_UTF32_LE, "utf-32-le"),
+                  (b"", "utf-32-be"), (codecs.BOM_UTF32_BE, "utf-32-be")]
+
+
+@settings(max_examples=50, deadline=None)
+@given(entries=st.lists(json_entries(), max_size=6))
+def test_json_encodings_match_per_row_reference(entries):
+    text = json.dumps({"status": "1", "message": "OK", "result": entries}, ensure_ascii=False)
+    for bom, codec in JSON_ENCODINGS:
+        blob = bom + text.encode(codec, "surrogatepass")
+        expected = reference_parse_json(blob)
+        assert parse_view(parse_etherscan_json(blob)) == expected
+        assert parse_view(parse_etherscan_json(io.BytesIO(blob))) == expected
+
+
+def test_json_parse_holds_one_copy_of_the_file(tmp_path):
+    """Parsing an export from a path costs less than one file size of
+    traced memory beyond what json.loads of its bytes alone peaks at. That
+    excess reads about 0.48 file sizes; holding the bytes beside the text
+    and the document, or the text through the column checks, raises it to
+    about 1.48."""
+    rng = random.Random(5)
+    entries = [dict(JSON_TX, hash="0x" + rng.randbytes(32).hex(),
+                    to="0x" + rng.randbytes(20).hex(), nonce=str(k),
+                    value=str(rng.randrange(10**21)))
+               for k in range(2000)]
+    path = tmp_path / "txs.json"
+    path.write_text(json.dumps({"status": "1", "message": "OK", "result": entries}))
+
+    def traced_peak(parse) -> int:
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            parse()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    document_peak = traced_peak(lambda: json.loads(path.read_bytes()))
+    parse_peak = traced_peak(lambda: parse_etherscan_json(path))
+    assert parse_peak - document_peak < path.stat().st_size
 
 
 class TestClean:
