@@ -32,7 +32,7 @@ from .features import (
     extract_implicit,
     fit_minmax,
 )
-from .gcn import GcnConfig, save_model, train
+from .gcn import OPTIMIZERS, WEIGHT_MODES, GcnConfig, save_model, train
 from .graph import build_graph, to_training_inputs
 from .ingest import (
     PhishingList,
@@ -201,7 +201,7 @@ def _gcn_config(args) -> GcnConfig:
         except ValueError:
             raise InvalidConfig("--manual-weights expects 'benign,phishing'") from None
         manual = (benign, phishing)
-    cfg = GcnConfig(
+    return GcnConfig(
         hidden_dims=hidden_dims,
         dropout_rate=args.dropout,
         learning_rate=args.lr,
@@ -213,8 +213,6 @@ def _gcn_config(args) -> GcnConfig:
         threshold=args.threshold,
         use_bias=args.use_bias,
     )
-    cfg.validate()
-    return cfg
 
 
 def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict:
@@ -393,13 +391,13 @@ def _add_gcn_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=200)
     parser.add_argument(
         "--weight-mode",
-        choices=("uniform", "inverse-frequency", "manual"),
+        choices=[mode.replace("_", "-") for mode in WEIGHT_MODES],
         default="inverse-frequency",
     )
     parser.add_argument("--manual-weights", default=None,
                         help="'benign,phishing', with --weight-mode manual")
     parser.add_argument("--threshold", type=float, default=0.5)
-    parser.add_argument("--optimizer", choices=("adam", "gd"), default="adam")
+    parser.add_argument("--optimizer", choices=OPTIMIZERS, default="adam")
     parser.add_argument("--use-bias", action="store_true")
     parser.add_argument("--ratio", type=float, default=0.8, help="train fraction")
     parser.add_argument("--split-seed", type=int, default=0)

@@ -6,7 +6,8 @@ the usual definitions with phishing as the positive class; every 0/0 case
 collapses to 0, which is what lets a degenerate all-benign prediction report
 a phishing recall of exactly zero. Values are kept at full precision and
 rounded to two decimals only in the human-readable table. Class weights are
-the one imbalance rule that the GCN loss and the balanced forest share.
+the one imbalance rule that the GCN loss and the balanced forest share. A
+split ratio outside (0, 1) or a negative split seed is an ``InvalidConfig``.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ def stratified_split(
     """
     labels = np.asarray(labels, dtype=np.int64)
     if not 0.0 < ratio < 1.0:
-        raise ShapeMismatch(f"split ratio must lie in (0, 1), got {ratio}")
+        raise InvalidConfig(f"split ratio must lie in (0, 1), got {ratio}")
     if seed < 0:
         raise InvalidConfig(f"split seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
@@ -71,16 +72,13 @@ def class_weights(
     """(w_benign, w_phishing) for the given training labels.
 
     Inverse frequency means w_c = N / (2 * N_c): with both classes present it
-    makes the two classes contribute equal total weight to the loss.
+    makes the two classes contribute equal total weight to the loss. The mode
+    and the pair are trusted: ``GcnConfig`` checks them; the forest's are fixed.
     """
     if mode == "uniform":
         return (1.0, 1.0)
     if mode == "manual":
-        if manual is None or len(manual) != 2:
-            raise InvalidConfig("manual mode requires a (benign, phishing) pair")
         return (float(manual[0]), float(manual[1]))
-    if mode != "inverse_frequency":
-        raise InvalidConfig(f"unknown weight mode {mode!r}")
     labels = np.asarray(labels, dtype=np.int64)
     n = len(labels)
     counts = np.bincount(labels, minlength=2)

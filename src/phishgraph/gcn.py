@@ -23,7 +23,10 @@ biases when enabled, the order model.bin stores them in; `backward` returns
 its gradients in that order. Dropout never touches the input features, so
 when the first layer propagates before its product, training computes
 A_hat @ X once and every forward pass reuses it. A loss or a weight that
-turns non-finite stops training with TrainingDiverged.
+turns non-finite stops training with TrainingDiverged. ``GcnConfig`` checks
+its fields when it is built, ``dataclasses.replace`` included, so ``train``
+never sees an invalid one; the CLI's choices come from ``WEIGHT_MODES`` and
+``OPTIMIZERS``.
 """
 from __future__ import annotations
 
@@ -61,7 +64,7 @@ class GcnConfig:
     threshold: float = 0.5
     use_bias: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise InvalidConfig("hidden_dims must be a non-empty list of widths")
         if not 0.0 <= self.dropout_rate < 1.0:
@@ -332,7 +335,6 @@ class TrainReport:
 
 def train(batch: GraphBatch, cfg: GcnConfig) -> tuple[GcnModel, TrainReport]:
     """Full-batch training; deterministic for a fixed (seed, config, data)."""
-    cfg.validate()
     X = batch.features.rows
     w_pair = class_weights(
         batch.labels[batch.train_mask], cfg.weight_mode, cfg.manual_weights

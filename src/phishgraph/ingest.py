@@ -309,7 +309,7 @@ def _read_address_file(path: str | Path) -> frozenset[str]:
              if line and not line.startswith("#")]
     column, ok = hex_column(lines, 20)
     if not ok.all():
-        raise InvalidAddress(f"invalid address: {lines[int(np.argmin(ok))]!r}")
+        raise InvalidAddress(f"{path}: invalid address: {lines[int(np.argmin(ok))]!r}")
     hexes = column.tobytes().hex()
     return frozenset("0x" + hexes[k : k + 40] for k in range(0, len(hexes), 40))
 

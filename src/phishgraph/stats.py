@@ -12,7 +12,9 @@ rows, bootstrap repeats included, so it is rounded once in either mode, and
 ties in Gini gain resolve to the lowest feature index and then the lowest
 threshold. One Gini rule, ``_gini``, scores parents, children and stored
 nodes in plain float64 products, with no BLAS call, so the trees and their
-importance do not depend on the CPU's BLAS kernel.
+importance do not depend on the CPU's BLAS kernel. ``ForestConfig`` checks
+its fields when it is built; ``train_forest`` checks only what depends on
+the data, that ``feature_subsample`` does not exceed the feature count.
 
 The split search sorts no column per node. Each feature is rank-encoded once
 per forest, and a node is the array of bootstrap rows it holds. Per drawn
@@ -108,7 +110,7 @@ class ForestConfig:
     seed: int = 0
     balanced: bool = False  # inverse-frequency class weights
 
-    def validate(self, n_features: int) -> None:
+    def __post_init__(self):
         if self.n_trees < 1:
             raise InvalidConfig("need at least one tree")
         if self.max_depth < 1:
@@ -117,9 +119,8 @@ class ForestConfig:
             raise InvalidConfig("min_leaf must be positive")
         if self.seed < 0:
             raise InvalidConfig(f"forest seed must be non-negative, got {self.seed}")
-        k = self.resolved_subsample(n_features)
-        if not 1 <= k <= n_features:
-            raise InvalidConfig("feature_subsample out of range")
+        if self.feature_subsample is not None and self.feature_subsample < 1:
+            raise InvalidConfig("feature_subsample must be positive")
 
     def resolved_subsample(self, n_features: int) -> int:
         if self.feature_subsample is not None:
@@ -274,7 +275,8 @@ def train_forest(
         raise ShapeMismatch("labels length != feature rows")
     if len(np.unique(labels)) < 2:
         raise SingleClass("training requires both classes")
-    cfg.validate(X.n_features)
+    if cfg.resolved_subsample(X.n_features) > X.n_features:
+        raise InvalidConfig(f"feature_subsample exceeds the {X.n_features} features")
 
     n = len(labels)
     weights = class_weights(labels, "inverse_frequency" if cfg.balanced else "uniform")

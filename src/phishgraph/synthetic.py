@@ -11,7 +11,8 @@ reproduces the corpus byte for byte. Each transaction's draws are recorded raw,
 as float64s in one flat array, and each column is checked and converted to its
 integer type once, after the last draw. Signal strength is configurable: the
 per-class value distributions and burst shape can be pushed together to make
-hard corpora or apart to make separable ones.
+hard corpora or apart to make separable ones. ``SyntheticConfig`` checks
+every field's type and range when it is built.
 """
 from __future__ import annotations
 
@@ -93,7 +94,7 @@ class SyntheticConfig:
     gas_price_log_sigma: float = 0.3
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             what, check = _FIELD_TYPES[f.type]
@@ -149,11 +150,9 @@ class SyntheticConfig:
             if isinstance(value, list):  # JSON arrays hold the range pairs
                 kwargs[name] = tuple(value)
         try:
-            cfg = cls(**kwargs)
+            return cls(**kwargs)
         except TypeError as exc:
             raise InvalidConfig(f"bad synthetic config: {exc}") from None
-        cfg.validate()
-        return cfg
 
 
 def _fresh_address(rng: np.random.Generator, taken: set[bytes]) -> bytes:
@@ -213,7 +212,6 @@ def _dataset(draws: np.ndarray, addresses: list[bytes], n_benign: int) -> Labele
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:
     """Generate a labeled corpus; deterministic for a fixed config."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     window_start = WINDOW_END - cfg.window_days * 86_400
 

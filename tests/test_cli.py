@@ -200,7 +200,8 @@ class TestIngest:
         for name, path in {"--phishing-list": plist, "--verified": plist, flag: bad}.items():
             argv += [name, str(path)]
         assert main(argv) == 2
-        assert named in assert_clean_error(capsys)
+        err = assert_clean_error(capsys)
+        assert "bad-list.txt" in err and named in err  # the file is named
         assert parsed == []
 
     @pytest.mark.parametrize("flag", ["--phishing-list", "--verified"])
@@ -659,6 +660,18 @@ class TestImportance:
         assert code == 0
         ranking = json.loads(out.read_text())
         assert abs(sum(e["score"] for e in ranking) - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize("flag", ["--trees", "--max-depth", "--min-leaf",
+                                      "--feature-subsample"])
+    def test_bad_forest_flag_exits_2_before_any_file(self, flag, tmp_path, capsys):
+        ds_path = planted_value_dataset(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(["importance", "--dataset", str(ds_path), flag, "0",
+                     "--out", str(out_dir / "imp.json")])
+        assert code == 2
+        err = assert_clean_error(capsys)
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not out_dir.exists()
 
 
 class TestFetchCommand:

@@ -4,7 +4,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from phishgraph.errors import ShapeMismatch
+from phishgraph.errors import InvalidConfig, ShapeMismatch
 from phishgraph.evaluate import (
     ConfusionMatrix,
     confusion,
@@ -77,7 +77,7 @@ class TestStratifiedSplit:
         assert int((split.test_mask & (labels == 0)).sum()) == 537_492
 
     def test_invalid_ratio_rejected(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(InvalidConfig):
             stratified_split(np.array([0, 1]), 1.0, seed=0)
 
 

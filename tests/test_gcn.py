@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -410,7 +411,11 @@ class TestConfigValidation:
     )
     def test_invalid_configs(self, kwargs):
         with pytest.raises(InvalidConfig):
-            GcnConfig(**kwargs).validate()
+            GcnConfig(**kwargs)
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(InvalidConfig):
+            dataclasses.replace(GcnConfig(), epochs=0)
 
 
 class TestModelSerialization:

@@ -460,7 +460,7 @@ class TestPhishingList:
         listed.write_text(f"{addr(1)}\n  0x12 \n# 0xnothex\n{addr(2).upper()}\n0xnothex\n")
         with pytest.raises(InvalidAddress) as info:
             PhishingList.from_files(listed)
-        assert str(info.value) == "invalid address: '0x12'"
+        assert str(info.value) == f"{listed}: invalid address: '0x12'"
 
     def test_lines_are_canonicalized(self, tmp_path):
         listed = tmp_path / "list.txt"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phishgraph.errors import ShapeMismatch, SingleClass
+from phishgraph.errors import InvalidConfig, ShapeMismatch, SingleClass
 from phishgraph.features import (
     IMPLICIT_FEATURE_NAMES,
     FeatureMatrix,
@@ -93,6 +93,21 @@ def separable_toy(seed: int = 0, n: int = 20):
 
 
 class TestForest:
+    @pytest.mark.parametrize("field", ["n_trees", "max_depth", "min_leaf", "seed",
+                                       "feature_subsample"])
+    def test_invalid_config_rejected_when_built(self, field):
+        bad = -1 if field == "seed" else 0
+        with pytest.raises(InvalidConfig):
+            ForestConfig(**{field: bad})
+        with pytest.raises(InvalidConfig):
+            replace(ForestConfig(), **{field: bad})
+
+    def test_subsample_above_feature_count_rejected_at_training(self):
+        X, labels = separable_toy()
+        cfg = ForestConfig(n_trees=2, feature_subsample=X.n_features + 1)
+        with pytest.raises(InvalidConfig):
+            train_forest(X, labels, cfg)
+
     def test_separable_training_accuracy_one(self):
         X, labels = separable_toy()
         forest = train_forest(X, labels, ForestConfig(n_trees=20, seed=0))

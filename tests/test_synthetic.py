@@ -127,7 +127,7 @@ class TestConfigValidation:
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(InvalidConfig):
-            SyntheticConfig(**kwargs).validate()
+            SyntheticConfig(**kwargs)
 
     def test_from_json_round_trip(self):
         """The config a synth manifest records reads back as the same config."""
