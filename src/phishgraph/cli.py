@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .errors import InvalidConfig, MalformedDocument, MalformedHeader, PipelineError
-from .evaluate import emit_report, stratified_split
+from .evaluate import check_split, emit_report, stratified_split
 from .features import (
     concat_features,
     extract_explicit,
@@ -217,6 +217,7 @@ def _gcn_config(args) -> GcnConfig:
 
 def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict:
     cfg = _gcn_config(args)
+    check_split(args.ratio, args.split_seed)
     _write_manifest(
         out_dir / "manifest.json",
         "run",
@@ -291,13 +292,15 @@ API_KEY_ENV = "PHISHGRAPH_API_KEY"
 
 
 def _cmd_fetch(args) -> int:
-    from .fetch import fetch_address_history
+    from .fetch import check_settings, fetch_address_history
 
     api_key = args.api_key or os.environ.get(API_KEY_ENV)
     if not api_key:
         raise InvalidConfig(
             f"no API key: pass --api-key or set {API_KEY_ENV}"
         )
+    address = Address(args.address)
+    check_settings(args.endpoint, args.page_limit, args.page_size, args.rate)
     out = Path(args.out)
     _write_manifest(
         Path(str(out) + ".manifest.json"),
@@ -314,7 +317,7 @@ def _cmd_fetch(args) -> int:
     )
 
     txs = fetch_address_history(
-        Address(args.address),
+        address,
         args.endpoint,
         api_key,
         page_limit=args.page_limit,

@@ -3,9 +3,11 @@
 Two input shapes are supported: CSV exports with a mandatory header row, and
 the JSON envelope returned by the explorer's ``account txlist`` endpoint
 (``{"status", "message", "result": [...]}`` with string-typed numerics).
-Each parser turns its file into the nine field columns and checks each
-column once. Malformed rows are never fatal; they are collected into a
-rejects report.
+Each parser reads its file ``CHUNK_ROWS`` rows at a time, turns each chunk
+into the nine field columns and checks each column once, so a file's raw
+fields are never all held at once; the JSON parser decodes the ``result``
+array one entry at a time and never builds the whole document. Malformed
+rows are never fatal; they are collected into a rejects report.
 
 Labeling is a two-stage procedure: an address is first matched against the
 flagged list (R1) and, when ``require_verified`` is set, only addresses that
@@ -21,10 +23,12 @@ import io
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from itertools import repeat
+from itertools import islice, repeat
+from json.decoder import WHITESPACE
+from json.scanner import make_scanner
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Callable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -57,7 +61,9 @@ EXPLORER_COLUMNS = (
     "gasUsed",
 )
 REQUIRED_COLUMNS = tuple(name.lower() for name in EXPLORER_COLUMNS)
-_BLANKS = ("",) * len(REQUIRED_COLUMNS)
+# Rows are checked this many at a time, so only a chunk's raw fields are held
+# at once; a larger chunk makes fewer numpy calls but holds more strings.
+CHUNK_ROWS = 512
 
 ByteSource = Union[bytes, IO[bytes], str, Path]
 
@@ -100,16 +106,16 @@ class CleanReport:
         }
 
 
-def _validate(rows: list[tuple], row_numbers: list[int],
+def _validate(fields: Sequence[Sequence], row_numbers: list[int],
               rejects: list[RejectedRow]) -> ParseResult:
-    """Check the nine field columns of a file's rows, each column once.
+    """Check the nine field columns of a chunk of rows, each column once.
 
-    ``rows`` holds each row's raw fields in ``REQUIRED_COLUMNS`` order. A
+    ``fields`` holds each field's raw values in ``REQUIRED_COLUMNS`` order. A
     rejected row gets the first reason it fails, in this order: from, to,
     hash, blocknumber to gasused, BadTimestamp, GasExceeded. Its detail is
-    formatted only then. ``rejects`` are the file's earlier rejects.
+    formatted only then. ``rejects`` are the chunk's earlier rejects.
     """
-    raw = dict(zip(REQUIRED_COLUMNS, zip(*rows) if rows else repeat(())))
+    raw = dict(zip(REQUIRED_COLUMNS, fields))
     failed: dict[int, tuple[str, str]] = {}
 
     def reject(bad: np.ndarray, why) -> None:
@@ -135,7 +141,7 @@ def _validate(rows: list[tuple], row_numbers: list[int],
     reject(timestamp == 0, lambda i: ("BadTimestamp", f"timestamp={timestamp[i]}"))
     reject(gas_used > gas, lambda i: ("GasExceeded", f"gasUsed {gas_used[i]} > gas {gas[i]}"))
 
-    keep = np.ones(len(rows), dtype=bool)
+    keep = np.ones(len(row_numbers), dtype=bool)
     keep[list(failed)] = False
     accepted = TxColumns(ints["blocknumber"], timestamp, hexes["hash"], hexes["from"],
                          hexes["to"], ints["value"], gas, ints["gasprice"], gas_used).take(keep)
@@ -143,14 +149,30 @@ def _validate(rows: list[tuple], row_numbers: list[int],
     return ParseResult(accepted, sorted(rejects, key=attrgetter("row")))
 
 
+def _parse_rows(items: Iterator, fields_of: Callable[[list], tuple]) -> ParseResult:
+    """Check ``items``, numbered from 1, ``CHUNK_ROWS`` at a time and join the
+    chunks in order. ``fields_of`` turns a chunk of (row number, item) pairs
+    into ``_validate``'s arguments. Only the raw items of the chunk being
+    read and of the one before it are held."""
+    numbered = enumerate(items, start=1)
+    parts, rejects = [], []
+    while True:
+        chunk = list(islice(numbered, CHUNK_ROWS))
+        result = _validate(*fields_of(chunk))
+        parts.append(result.transactions)
+        rejects += result.rejects
+        if len(chunk) < CHUNK_ROWS:
+            return ParseResult(TxColumns.concat(parts), rejects)
+
+
 def parse_etherscan_csv(source: ByteSource) -> ParseResult:
     """Parse a CSV export. Header is mandatory; extra columns are ignored.
 
     Bytes, a binary stream and a path are read alike: streamed through one
     UTF-8 decoder that drops a leading byte-order mark and leaves line
-    endings to csv. A file that is not UTF-8 or not CSV is a
-    MalformedDocument. A blank row is skipped but keeps its row number; a
-    short row reads as padded with empty fields.
+    endings to csv, and read ``CHUNK_ROWS`` rows at a time. A file that is
+    not UTF-8 or not CSV is a MalformedDocument. A blank row is skipped but
+    keeps its row number; a short row reads as padded with empty fields.
     """
     if isinstance(source, (str, Path)):
         with open(source, "rb") as raw:
@@ -176,16 +198,19 @@ def _parse_csv_stream(stream: IO[str]) -> ParseResult:
     if missing:
         raise MalformedHeader(f"missing required columns: {', '.join(missing)}")
 
-    pick = itemgetter(*(columns[name] for name in REQUIRED_COLUMNS))
+    picks = [itemgetter(columns[name]) for name in REQUIRED_COLUMNS]
     width = max(columns[name] for name in REQUIRED_COLUMNS) + 1
-    rows, row_numbers = [], []
-    for row_no, row in enumerate(reader, start=1):
-        if not any(map(str.strip, row)):
-            continue
-        row += [""] * (width - len(row))  # pads a short row, no-op otherwise
-        rows.append(pick(row))
-        row_numbers.append(row_no)
-    return _validate(rows, row_numbers, [])
+
+    def fields_of(chunk: list[tuple[int, list[str]]]) -> tuple:
+        rows, row_numbers = [], []
+        for row_no, row in chunk:
+            if any(map(str.strip, row)):
+                row += [""] * (width - len(row))  # pads a short row, no-op otherwise
+                rows.append(row)
+                row_numbers.append(row_no)
+        return [list(map(pick, rows)) for pick in picks], row_numbers, []
+
+    return _parse_rows(reader, fields_of)
 
 
 def _json_text(source: ByteSource) -> str:
@@ -202,41 +227,127 @@ def _json_text(source: ByteSource) -> str:
 def parse_etherscan_json(source: ByteSource) -> ParseResult:
     """Parse an ``account txlist`` JSON envelope; same semantics as the CSV parser.
 
-    Bytes, a binary stream and a path are read alike. Read from a path or
-    stream, the bytes last until they are decoded and the text until it is
-    parsed, so neither is held while the rows are checked.
+    Bytes, a binary stream and a path are read alike. The bytes last until
+    they are decoded. The text is then walked as ``json.loads`` walks it,
+    with the decoder's own scanner, but the ``result`` array is decoded one
+    entry at a time and checked ``CHUNK_ROWS`` entries at a time, so the
+    whole document is never built. Text the walker does not take as an
+    object goes to ``json.loads``, for the decoder's own error message.
     """
     try:
-        document = json.loads(_json_text(source))
+        text = _json_text(source)
+        try:
+            document = _walk_envelope(text)
+        except _NotPlain:
+            json.loads(text)  # raises, unless the text is JSON but no object
+            document = None
     # ValueError covers bad bytes, bad syntax and an integer literal with more
     # digits than int() converts; RecursionError, arrays nested too deep
     except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"invalid JSON: {exc}") from None
-    if not isinstance(document, dict) or "result" not in document:
+    if document is None or "result" not in document:
         raise MalformedDocument("expected an object with a 'result' field")
 
-    payload = document.get("result")
+    payload = document["result"]
     status = str(document.get("status", ""))
-    if not isinstance(payload, list):
+    if not isinstance(payload, ParseResult):
         if status != "1":
             message = str(document.get("message", "error"))
             raise ApiError(message, payload=str(payload))
         raise MalformedDocument("'result' is not an array")
+    return payload
 
-    rows, row_numbers, rejects = [], [], []
+
+class _NotPlain(Exception):
+    """The walker stopped at text that is malformed or not an object."""
+
+
+_scan_once = make_scanner(json.JSONDecoder())
+_skip_space = WHITESPACE.match
+
+
+def _scan(text: str, at: int) -> tuple[object, int]:
+    """(the JSON value at ``at``, the index after it), as the decoder reads it."""
+    try:
+        return _scan_once(text, at)
+    except StopIteration:  # no value at ``at``
+        raise _NotPlain from None
+
+
+def _walk_envelope(text: str) -> dict:
+    """The top-level object of ``text``, with each ``result`` array read as
+    its ``ParseResult``. A repeated key keeps its last value, as in
+    ``json.loads``. Raises _NotPlain where the text is no object or breaks
+    the syntax between values; the scanner raises for a value it cannot
+    read."""
+    at = _skip_space(text).end()
+    if not text.startswith("{", at):
+        raise _NotPlain
+    document = {}
+    at = _skip_space(text, at + 1).end()
+    if not text.startswith("}", at):
+        while True:
+            if not text.startswith('"', at):
+                raise _NotPlain
+            key, at = _scan(text, at)
+            at = _skip_space(text, at).end()
+            if not text.startswith(":", at):
+                raise _NotPlain
+            at = _skip_space(text, at + 1).end()
+            if key == "result" and text.startswith("[", at):
+                document[key], at = _parse_entries(text, at)
+            else:
+                document[key], at = _scan(text, at)
+            at = _skip_space(text, at).end()
+            if text.startswith("}", at):
+                break
+            if not text.startswith(",", at):
+                raise _NotPlain
+            at = _skip_space(text, at + 1).end()
+    if _skip_space(text, at + 1).end() != len(text):
+        raise _NotPlain  # data after the object
+    return document
+
+
+def _parse_entries(text: str, at: int) -> tuple[ParseResult, int]:
+    """(the rows of the array at ``at``, the index after the array)."""
+    def entries() -> Iterator:
+        nonlocal at
+        at = _skip_space(text, at + 1).end()
+        if not text.startswith("]", at):
+            while True:
+                entry, at = _scan(text, at)
+                yield entry
+                at = _skip_space(text, at).end()
+                if text.startswith("]", at):
+                    break
+                if not text.startswith(",", at):
+                    raise _NotPlain
+                at = _skip_space(text, at + 1).end()
+        at += 1
+
     fields_by_keys: dict[tuple, list] = {}  # an entry's keys -> its nine fields' keys
-    for row_no, entry in enumerate(payload, start=1):
-        if not isinstance(entry, dict):
-            rejects.append(RejectedRow(row_no, "BadEntry", "result entry is not an object"))
-            continue
-        keys = tuple(entry)
-        if keys not in fields_by_keys:  # the last of keys equal but for case wins
-            by_name = {key.lower(): key for key in keys}
-            fields_by_keys[keys] = [by_name.get(name) for name in REQUIRED_COLUMNS]
+
+    def fields_of(chunk: list[tuple[int, object]]) -> tuple:
+        objects, names, row_numbers, rejects = [], [], [], []
+        for row_no, entry in chunk:
+            if not isinstance(entry, dict):
+                rejects.append(RejectedRow(row_no, "BadEntry", "result entry is not an object"))
+                continue
+            keys = tuple(entry)
+            if keys not in fields_by_keys:  # the last of keys equal but for case wins
+                by_name = {key.lower(): key for key in keys}
+                fields_by_keys[keys] = [by_name.get(name) for name in REQUIRED_COLUMNS]
+            objects.append(entry)
+            names.append(fields_by_keys[keys])
+            row_numbers.append(row_no)
         # an absent field (None is never a JSON key) reads as ""
-        rows.append(tuple(map(entry.get, fields_by_keys[keys], _BLANKS)))
-        row_numbers.append(row_no)
-    return _validate(rows, row_numbers, rejects)
+        fields = [list(map(dict.get, objects, map(itemgetter(k), names), repeat("")))
+                  for k in range(len(REQUIRED_COLUMNS))]
+        return fields, row_numbers, rejects
+
+    result = _parse_rows(entries(), fields_of)  # moves ``at`` past the array
+    return result, at
 
 
 def explorer_entries(txs: TxColumns) -> list[dict[str, str]]:

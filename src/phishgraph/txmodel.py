@@ -211,11 +211,19 @@ def transaction_table(txs: TxColumns) -> tuple[np.ndarray, np.ndarray]:
     relabel; the records keep the transactions' order.
     """
     n = len(txs)
-    records = np.empty(n, TX_RECORD)
+    records = np.zeros(n, TX_RECORD)
     for name in ("block_number", "timestamp", "tx_hash", "gas", "gas_price", "gas_used"):
         records[name] = getattr(txs, name)
-    values = b"".join([v.to_bytes(32, "big") for v in txs.value.tolist()])
-    records["value"] = np.frombuffer(values, ">u4").reshape(n, 8)
+    # each 64-bit word of the value, least significant first, fills two limbs
+    limbs, words = records["value"], txs.value
+    for j in (6, 4, 2, 0):
+        word = words if words.dtype != object else (words & MAX_U64).astype(np.uint64)
+        limbs[:, j], limbs[:, j + 1] = word >> 32, word & 0xFFFFFFFF
+        if words.dtype != object:  # a uint64 column has no higher word
+            break
+        words = words >> 64
+        if not words.any():  # the higher limbs stay zero
+            break
     addresses, rows = np.unique(np.concatenate([txs.sender, txs.receiver]), return_inverse=True)
     records["sender"], records["receiver"] = rows[:n], rows[n:]
     table = np.zeros(len(addresses), ADDRESS_ROW)

@@ -590,3 +590,22 @@ def reference_parse_json(blob: bytes):
         (row_no, {str(k).lower(): v for k, v in entry.items()}
          if isinstance(entry, dict) else None)
         for row_no, entry in enumerate(entries, start=1))
+
+
+def reference_json_outcome(blob: bytes):
+    """What ``parse_etherscan_json`` makes of any bytes, read from the whole
+    document as ``json.loads`` builds it: ``("rows", reference_parse_json)``
+    or the name and message of the error it raises."""
+    try:
+        document = json.loads(blob.decode(json.detect_encoding(blob), "surrogatepass"))
+    except (ValueError, RecursionError) as exc:
+        return "MalformedDocument", f"invalid JSON: {exc}"
+    if not isinstance(document, dict) or "result" not in document:
+        return "MalformedDocument", "expected an object with a 'result' field"
+    payload = document["result"]
+    if isinstance(payload, list):
+        return "rows", reference_parse_json(blob)
+    if str(document.get("status", "")) != "1":
+        message = str(document.get("message", "error"))
+        return "ApiError", f"{message}: {payload}" if str(payload) else message
+    return "MalformedDocument", "'result' is not an array"

@@ -532,6 +532,19 @@ class TestRun:
         assert f"{side} side" in assert_clean_error(capsys)
         assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
 
+    @pytest.mark.parametrize("command", [["run", "--features", "implicit"], ["compare"]],
+                             ids=["run", "compare"])
+    @pytest.mark.parametrize("flags", [["--ratio", "1.5"], ["--ratio", "0"],
+                                       ["--split-seed", "-1"]])
+    def test_bad_split_flag_exits_2_before_any_file(self, command, flags, dataset,
+                                                    tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        code = main([*command, "--dataset", str(dataset), "--out-dir", str(out_dir), *flags])
+        assert code == 2
+        err = assert_clean_error(capsys)
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not out_dir.exists()
+
     def test_diverging_training_exits_3(self, tmp_path, capsys):
         ds_path = tmp_path / "ds.bin"
         assert main(small_synth_args(ds_path, seed=1, benign=100, phishing=25)) == 0
@@ -759,6 +772,23 @@ class TestFetchCommand:
         assert code == 2
         assert_clean_error(capsys)
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--page-limit", "0"], ["--page-size", "-5"], ["--rate", "nan"],
+                  ["--endpoint", "file:///etc/hosts"], ["--address", "0x12"]],
+        ids=["page-limit", "page-size", "rate", "endpoint", "address"],
+    )
+    def test_bad_setting_exits_2_before_any_file(self, flags, tmp_path, monkeypatch,
+                                                 capsys):
+        monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")
+        out_dir = tmp_path / "out"
+        code = main(["fetch", "--address", str(addr(1)),
+                     "--endpoint", "http://127.0.0.1:9/api", "--rate", "0", *flags,
+                     "--out", str(out_dir / "txs.json")])
+        assert code == 2
+        err = assert_clean_error(capsys)
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not out_dir.exists()
 
     def test_unreachable_endpoint_exits_1(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PHISHGRAPH_API_KEY", "k")

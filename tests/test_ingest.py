@@ -4,6 +4,7 @@ import io
 import json
 import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from phishgraph.errors import (
     MalformedHeader,
     PipelineError,
 )
+from phishgraph import ingest
 from phishgraph.ingest import (
+    CHUNK_ROWS,
     ParseResult,
     PhishingList,
     clean,
@@ -32,6 +35,7 @@ from helpers import (
     labels,
     make_tx,
     provenance,
+    reference_json_outcome,
     reference_parse_csv,
     reference_parse_json,
     transactions,
@@ -405,6 +409,197 @@ def test_json_parse_holds_one_copy_of_the_file(tmp_path):
     document_peak = traced_peak(lambda: json.loads(path.read_bytes()))
     parse_peak = traced_peak(lambda: parse_etherscan_json(path))
     assert parse_peak - document_peak < path.stat().st_size
+
+
+def traced_peak(parse) -> int:
+    """Bytes of traced memory that ``parse()`` peaks at beyond what was
+    traced when it started."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        parse()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+def export_entries(n: int) -> list[dict]:
+    rng = random.Random(5)
+    return [dict(JSON_TX, hash="0x" + rng.randbytes(32).hex(), to="0x" + rng.randbytes(20).hex(),
+                 nonce=str(k), value=str(rng.randrange(10**21)))
+            for k in range(n)]
+
+
+def test_csv_parse_peak_is_below_three_file_sizes(tmp_path):
+    """Parsing a 4096-row CSV export from a path peaks at about 1.7 file
+    sizes of traced memory: a chunk of rows and the columns, which are
+    joined once at the end. Holding every row's fields at once, as a
+    whole-file parse does, peaks at about 5.0."""
+    path = tmp_path / "txs.csv"
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, list(JSON_TX))
+        writer.writeheader()
+        writer.writerows(export_entries(4096))
+    assert traced_peak(lambda: parse_etherscan_csv(path)) < 3 * path.stat().st_size
+
+
+def test_json_parse_peak_is_below_three_and_a_half_file_sizes(tmp_path):
+    """Parsing a 4096-entry JSON export from a path peaks at about 2.5
+    file sizes of traced memory: the bytes and their text at the decode
+    (2.0), then the text, one chunk of entries and the columns. Building
+    the whole document, as ``json.loads`` does, peaks at about 4.3."""
+    path = tmp_path / "txs.json"
+    path.write_text(json.dumps({"status": "1", "message": "OK", "result": export_entries(4096)}))
+    assert traced_peak(lambda: parse_etherscan_json(path)) < 3.5 * path.stat().st_size
+
+
+# ------------------------------------------- rows on both sides of a chunk end
+# Row CHUNK_ROWS * k is the last row of chunk k and the next row the first of
+# chunk k + 1. Each export holds six chunks, the last one short.
+
+N_BOUNDARY_ROWS = 5 * CHUNK_ROWS + 9
+FAULTS = {  # one field edit per reject reason
+    "BadAddress": {"from": "0x12"},
+    "BadHash": {"hash": "nothash"},
+    "MissingField": {"gasPrice": ""},
+    "BadNumeral": {"value": "1.5e18"},
+    "BadTimestamp": {"timeStamp": "0"},
+    "GasExceeded": {"gasUsed": "21001"},
+}
+
+
+def boundary_entries() -> tuple[list[dict], list[int]]:
+    """Valid entries, with a fault of each reason on the rows beside the
+    first three chunk ends, a value above 2**64 only in the last chunk, and
+    the rows beside the fifth chunk end sharing a hash; and the free rows
+    beside the fourth chunk end (1-based)."""
+    entries = [dict(JSON_TX, hash=tx_hash(k), to=addr(k % 7), nonce=str(k))
+               for k in range(1, N_BOUNDARY_ROWS + 1)]
+    sides = [CHUNK_ROWS * k + d for k in (1, 2, 3) for d in (0, 1)]
+    for row, edit in zip(sides, FAULTS.values()):
+        entries[row - 1].update(edit)
+    entries[-3]["value"] = str(2**64 + 7)
+    entries[5 * CHUNK_ROWS]["hash"] = entries[5 * CHUNK_ROWS - 1]["hash"]
+    return entries, [4 * CHUNK_ROWS, 4 * CHUNK_ROWS + 1]
+
+
+def check_boundary_parse(result, view, n_rejects: int) -> None:
+    assert parse_view(result) == view
+    assert [r.reason for r in result.rejects][:6] == list(FAULTS)
+    assert len(result.rejects) == n_rejects
+    assert result.transactions.value.dtype == object  # promoted by the last chunk
+    kept, report = clean(result.transactions)
+    hashes = [t.tx_hash for t in tx_rows(result.transactions)]
+    repeat_at = hashes.index(tx_hash(5 * CHUNK_ROWS), hashes.index(tx_hash(5 * CHUNK_ROWS)) + 1)
+    assert report.dropped_rows == [(repeat_at, "duplicate hash")]
+    assert len(kept) == len(hashes) - 1
+
+
+def test_csv_chunk_boundaries_match_per_row_reference():
+    entries, (blank_at, short_at) = boundary_entries()
+    rows = [list(entry.values()) for entry in entries]
+    rows[blank_at - 1] = []
+    rows[short_at - 1] = rows[short_at - 1][:4]
+    rows[5 * CHUNK_ROWS - 1].append("7")  # a long row, kept
+    out = io.StringIO()
+    csv.writer(out).writerows([list(JSON_TX), *rows])
+    blob = out.getvalue().encode()
+    result = parse_etherscan_csv(blob)
+    check_boundary_parse(result, reference_parse_csv(blob), len(FAULTS) + 1)
+    assert result.rejects[-1].row == short_at
+
+
+def test_json_chunk_boundaries_match_per_row_reference():
+    entries, (bad_entry_at, first_upper) = boundary_entries()
+    entries[bad_entry_at - 1] = "not an entry"
+    # from the first row of a chunk on, the keys change case and order
+    entries[first_upper - 1:] = [{k.upper(): v for k, v in reversed(entry.items())}
+                                 for entry in entries[first_upper - 1:]]
+    blob = envelope(entries)
+    result = parse_etherscan_json(blob)
+    check_boundary_parse(result, reference_parse_json(blob), len(FAULTS) + 1)
+    assert result.rejects[-1].row == bad_entry_at
+
+
+@settings(max_examples=100, deadline=None)
+@given(blob=csv_exports(), chunk_rows=st.integers(1, 3))
+def test_csv_in_small_chunks_matches_per_row_reference(blob, chunk_rows):
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        assert parse_view(parse_etherscan_csv(blob)) == reference_parse_csv(blob)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=st.lists(json_entries(), max_size=6), chunk_rows=st.integers(1, 3))
+def test_json_in_small_chunks_matches_per_row_reference(entries, chunk_rows):
+    blob = envelope(entries)
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        assert parse_view(parse_etherscan_json(blob)) == reference_parse_json(blob)
+
+
+# ------------------------------------------------- the envelope, as json.loads
+def json_outcome(blob: bytes):
+    try:
+        return "rows", parse_view(parse_etherscan_json(blob))
+    except PipelineError as exc:
+        return type(exc).__name__, str(exc)
+
+
+ENTRY = json.dumps(JSON_TX).encode()
+DEEP = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize("blob", [
+    b"", b"  ", b"7", b'"text"', b"null", b"[]", b'[{"result": []}]', b"{}",
+    b'{"status": "1"}',
+    b'{"status": "1", "result": [1,]}',
+    b'{"status": "1", "result": [],}',
+    b'{"status": "1", "result": [] ,  }',
+    b'{"result": []} x',
+    b'{"result": []}{}',
+    b'{"result": [] ',
+    b'{"result": [',
+    b'{"result": [' + ENTRY,
+    b'{"result" []}',
+    b'{result: []}',
+    b"{'result': []}",
+    b'{"result": [' + ENTRY + b" " + ENTRY + b"]}",
+    b'{"result": [' + ENTRY + b",," + ENTRY + b"]}",
+    b'{"result": [], "status": "1"',
+    b'{"result": ["\x01"]}',
+    b'{"result": ["unterminated]}',
+    b'{"status": "1", "result": [' + b"1" * 5000 + b"]}",
+    b'{"result": [1e400, NaN, -Infinity, 1.5, true, null, {}]}',
+    b' \n{ "result" : [ \t' + ENTRY + b' \r\n] , "status":"1"\n} \r\n',
+    b'{"result": "Max rate limit reached", "status": "0", "message": "NOTOK"}',
+    b'{"result": "", "status": "0", "message": "NOTOK"}',
+    b'{"message": "m", "result": null}',
+    b'{"result": {"a": 1}, "status": "1"}',
+    b'{"result": [' + ENTRY + b'], "result": "late", "status": "0"}',
+    b'{"result": "early", "result": [' + ENTRY + b'], "status": "0"}',
+    b'{"result": [' + ENTRY + b'], "result": [{"hash": "0x12"}, 5]}',
+    b'{"Result": [], "status": "1"}',
+    b'{"status": "1", "result": [' + DEEP + b"]}",
+    b'{"status": "1", "result": [], "extra": ' + DEEP + b"}",
+    b'{"status": ' + DEEP + b', "result": "x"}',
+    codecs.BOM_UTF8 + b'{"result": []}',
+    codecs.BOM_UTF8 * 2 + b'{"result": []}',
+    '{"result": ["é"]}'.encode("utf-16"),
+    b'{"result": ["\xff"]}',
+], ids=lambda blob: repr(blob[:40]))
+def test_json_envelope_ends_as_json_loads_reads_it(blob):
+    assert json_outcome(blob) == reference_json_outcome(blob)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=EDITS, chunk_rows=st.integers(1, 3))
+def test_json_edits_end_as_json_loads_reads_them(edits, chunk_rows):
+    blob = mutated(envelope([JSON_TX, "x", JSON_TX, dict(JSON_TX, hash="0x1")]), edits)
+    with mock.patch.object(ingest, "CHUNK_ROWS", chunk_rows):
+        assert json_outcome(blob) == reference_json_outcome(blob)
 
 
 class TestClean:

@@ -5,7 +5,7 @@ import pytest
 
 from phishgraph.errors import InvalidAddress, InvalidTransaction
 from phishgraph.ingest import clean
-from phishgraph.txmodel import Address, Label, decimal_column
+from phishgraph.txmodel import Address, Label, decimal_column, transaction_table
 
 from helpers import addr, dataset_from, labels, make_tx, tx_columns, tx_rows
 
@@ -115,6 +115,21 @@ class TestTransaction:
         kept, report = clean(tx_columns([wide, at_limit]))
         assert tx_rows(kept) == [at_limit]
         assert report.dropped_rows == [(0, "field beyond 64 bits")]
+
+
+class TestTransactionTable:
+    @pytest.mark.parametrize("top", [2**64, 2**100, 2**256],
+                             ids=["uint64", "object-two-words", "object-four-words"])
+    def test_value_limbs_are_the_big_endian_bytes(self, top):
+        """Both column types a parser gives fill the eight >u4 limbs with the
+        value's 32 big-endian bytes, up to the highest nonzero 64-bit word."""
+        rng = random.Random(13)
+        values = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, top - 1]
+        values += [rng.randrange(top) for _ in range(200)]
+        txs = tx_columns([make_tx(i, addr(1), addr(2), value=v) for i, v in enumerate(values)])
+        assert (txs.value.dtype == object) == (top > 2**64)
+        _, records = transaction_table(txs)
+        assert records["value"].tobytes() == b"".join(v.to_bytes(32, "big") for v in values)
 
 
 class TestLabeledDataset:
