@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import InvalidConfig, MalformedDocument, MalformedHeader, PipelineError
+from .errors import ApiError, InvalidConfig, MalformedDocument, MalformedHeader, PipelineError
 from .evaluate import check_split, emit_report, stratified_split
 from .features import (
     concat_features,
@@ -97,13 +97,15 @@ def _load_features(dataset: str | Path, feature_set: str):
 
 def _parse_exports(tx_paths: list[str]) -> tuple[TxColumns, list[dict]]:
     """The accepted rows of every export, concatenated in order, and each
-    file's rejects section. Each file's own columns end with the call."""
+    file's rejects section. Each file's own columns end with the call. An
+    export that cannot be read, or that holds an API error envelope, is
+    named in the error."""
     parts, reject_sections = [], []
     for tx_path in tx_paths:
         json_file = Path(tx_path).suffix.lower() == ".json"
         try:
             result = (parse_etherscan_json if json_file else parse_etherscan_csv)(tx_path)
-        except (MalformedHeader, MalformedDocument) as exc:
+        except (MalformedHeader, MalformedDocument, ApiError) as exc:
             raise type(exc)(f"{tx_path}: {exc}") from None
         parts.append(result.transactions)
         reject_sections.append({"file": str(tx_path), **result.rejects_json()})

@@ -20,6 +20,7 @@ to float64 once, with round-half-even rounding at the conversion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -105,19 +106,30 @@ def _runs(ufunc, values: np.ndarray, counts: np.ndarray, empty=0) -> np.ndarray:
     return out
 
 
+def _limbs(column: np.ndarray, order: np.ndarray) -> Iterator[np.ndarray]:
+    """The 32-bit limbs of ``column[order]`` as uint64 arrays, most
+    significant first, gathered one at a time: two of a u64 field, eight of
+    a 256-bit value."""
+    if column.ndim == 1:
+        values = np.take(column, order)
+        yield values >> np.uint64(32)
+        yield values & np.uint64(0xFFFFFFFF)
+    else:
+        for j in range(column.shape[1]):
+            yield np.take(column[:, j], order).astype(np.uint64)
+
+
 def _exact_totals(column: np.ndarray, order: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """float(exact integer sum) of ``column[order]`` over each run.
 
-    The u64 or 256-bit values are split into 32-bit limbs, which sum without
-    overflow in uint64 for runs shorter than 2**32; each run's limb sums are
-    then recombined once as Python ints, so the float rounds exactly once.
+    The u64 or 256-bit values are taken one 32-bit limb at a time, so only
+    one limb of the gathered rows is held; a limb sums without overflow in
+    uint64 for runs shorter than 2**32. Each run's limb sums are recombined
+    as Python ints, so the float rounds exactly once.
     """
-    values = column[order].astype(np.uint64)
-    if values.ndim == 1:
-        values = np.stack((values >> np.uint64(32), values & np.uint64(0xFFFFFFFF)), axis=1)
     total = np.zeros(len(counts), dtype=object)
-    for limb in _runs(np.add, values, counts).T:  # most significant first
-        total = (total << 32) + limb.astype(object)
+    for limb in _limbs(column, order):
+        total = (total << 32) + _runs(np.add, limb, counts).astype(object)
     return total.astype(np.float64)
 
 

@@ -5,9 +5,10 @@ the JSON envelope returned by the explorer's ``account txlist`` endpoint
 (``{"status", "message", "result": [...]}`` with string-typed numerics).
 Each parser reads its file ``CHUNK_ROWS`` rows at a time, turns each chunk
 into the nine field columns and checks each column once, so a file's raw
-fields are never all held at once; the JSON parser decodes the ``result``
-array one entry at a time and never builds the whole document. Malformed
-rows are never fatal; they are collected into a rejects report.
+fields are never all held at once. The JSON parser reads a file
+``WINDOW_BYTES`` at a time, decodes the ``result`` array one entry at a time
+and never holds the whole text or builds the whole document. Malformed rows
+are never fatal; they are collected into a rejects report.
 
 Labeling is a two-stage procedure: an address is first matched against the
 flagged list (R1) and, when ``require_verified`` is set, only addresses that
@@ -18,6 +19,7 @@ provenance records the one-hop contact.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -64,6 +66,9 @@ REQUIRED_COLUMNS = tuple(name.lower() for name in EXPLORER_COLUMNS)
 # Rows are checked this many at a time, so only a chunk's raw fields are held
 # at once; a larger chunk makes fewer numpy calls but holds more strings.
 CHUNK_ROWS = 512
+# JSON exports are decoded this many bytes at a time, so only a window's
+# text, or the text of a value cut at its end, is held beside the rows.
+WINDOW_BYTES = 256 * 1024
 
 ByteSource = Union[bytes, IO[bytes], str, Path]
 
@@ -213,34 +218,31 @@ def _parse_csv_stream(stream: IO[str]) -> ParseResult:
     return _parse_rows(reader, fields_of)
 
 
-def _json_text(source: ByteSource) -> str:
-    """The text of a JSON file, decoded as ``json.loads`` decodes bytes:
-    UTF-8, -16 or -32, told apart by a byte-order mark or the nulls around
-    the first characters. Only the text outlives the call, not the bytes."""
-    if isinstance(source, (str, Path)):
-        source = Path(source).read_bytes()
-    elif not isinstance(source, bytes):
-        source = source.read()
-    return source.decode(json.detect_encoding(source), "surrogatepass")
-
-
 def parse_etherscan_json(source: ByteSource) -> ParseResult:
     """Parse an ``account txlist`` JSON envelope; same semantics as the CSV parser.
 
-    Bytes, a binary stream and a path are read alike. The bytes last until
-    they are decoded. The text is then walked as ``json.loads`` walks it,
-    with the decoder's own scanner, but the ``result`` array is decoded one
-    entry at a time and checked ``CHUNK_ROWS`` entries at a time, so the
-    whole document is never built. Text the walker does not take as an
-    object goes to ``json.loads``, for the decoder's own error message.
+    Bytes, a binary stream and a path are read alike. A path is read
+    ``WINDOW_BYTES`` at a time; a stream is read whole first, as a failure
+    needs its bytes again. The text is decoded as ``json.loads`` decodes
+    bytes, but a window at a time, and walked as ``json.loads`` walks it,
+    with the decoder's own scanner. The ``result`` array is decoded one
+    entry at a time and checked ``CHUNK_ROWS`` entries at a time, so neither
+    the whole text nor the whole document is ever held. Where the walker
+    fails, ``json.loads`` reads the whole file again, for the decoder's own
+    error message.
     """
+    if not isinstance(source, (bytes, str, Path)):
+        source = source.read()
+    from_path = not isinstance(source, bytes)
     try:
-        text = _json_text(source)
-        try:
-            document = _walk_envelope(text)
-        except _NotPlain:
-            json.loads(text)  # raises, unless the text is JSON but no object
-            document = None
+        with open(source, "rb") if from_path else io.BytesIO(source) as raw:
+            try:
+                document = _walk_envelope(_Tail(raw.read))
+            except _NotPlain:
+                blob = Path(source).read_bytes() if from_path else source
+                # raises, unless the text is JSON but no object
+                json.loads(blob.decode(json.detect_encoding(blob), "surrogatepass"))
+                document = None
     # ValueError covers bad bytes, bad syntax and an integer literal with more
     # digits than int() converts; RecursionError, arrays nested too deep
     except (ValueError, RecursionError) as exc:
@@ -264,66 +266,113 @@ class _NotPlain(Exception):
 
 _scan_once = make_scanner(json.JSONDecoder())
 _skip_space = WHITESPACE.match
+# A number cut at the end of the text scans up to two characters short:
+# "1e+" of "1e+5" reads as 1. A scan that ends this close to the end waits
+# for more text.
+_CUT_SLACK = 3
 
 
-def _scan(text: str, at: int) -> tuple[object, int]:
-    """(the JSON value at ``at``, the index after it), as the decoder reads it."""
-    try:
-        return _scan_once(text, at)
-    except StopIteration:  # no value at ``at``
-        raise _NotPlain from None
+class _Tail:
+    """The unread part of a JSON text, decoded as ``json.loads`` decodes
+    bytes (UTF-8, -16 or -32, told apart by the first four bytes) but a
+    window of bytes at a time. ``text`` keeps only the text from the last
+    position passed on; every position the methods take or return is an
+    index into ``text`` as it stands."""
+
+    def __init__(self, read: Callable[[int], bytes]):
+        head = read(4)  # all that json.detect_encoding looks at
+        self.decode = codecs.getincrementaldecoder(json.detect_encoding(head))("surrogatepass").decode
+        self.read, self.text = read, ""
+        self._append(head, 0)
+
+    def _append(self, data: bytes, at: int) -> int:
+        """Drop the text before ``at`` and append the text of ``data``, the
+        end of the input where it is empty; ``at``'s new index."""
+        try:
+            self.text = self.text[at:] + self.decode(data, not data)
+        except UnicodeDecodeError:  # json.loads words it for the whole input
+            raise _NotPlain from None
+        self.ended = not data
+        return 0
+
+    def char(self, at: int) -> tuple[int, str]:
+        """(the index of the first non-whitespace character from ``at``, that
+        character, or "" at the end of the text)."""
+        at = _skip_space(self.text, at).end()
+        while at == len(self.text) and not self.ended:
+            at = self._append(self.read(WINDOW_BYTES), at)
+            at = _skip_space(self.text, at).end()
+        return at, self.text[at : at + 1]
+
+    def scan(self, at: int) -> tuple[object, int]:
+        """(the JSON value at ``at``, the index after it), as the decoder reads it.
+
+        A value cut at the end of the text fails to scan or, if a number,
+        scans short, so such a scan is tried again with more text, twice as
+        much each time while the value stays cut. Once the input is read, a
+        failure raises _NotPlain."""
+        size = WINDOW_BYTES
+        while True:
+            try:
+                value, end = _scan_once(self.text, at)
+                if self.ended or end + _CUT_SLACK <= len(self.text):
+                    return value, end
+            except (StopIteration, ValueError, RecursionError):
+                if self.ended:
+                    raise _NotPlain from None
+            at = self._append(self.read(size), at)
+            size *= 2
 
 
-def _walk_envelope(text: str) -> dict:
-    """The top-level object of ``text``, with each ``result`` array read as
+def _walk_envelope(tail: _Tail) -> dict:
+    """The top-level object of the text, with each ``result`` array read as
     its ``ParseResult``. A repeated key keeps its last value, as in
-    ``json.loads``. Raises _NotPlain where the text is no object or breaks
-    the syntax between values; the scanner raises for a value it cannot
-    read."""
-    at = _skip_space(text).end()
-    if not text.startswith("{", at):
+    ``json.loads``. Raises _NotPlain where the text is no object, breaks the
+    syntax between values or holds a value the scanner cannot read."""
+    at, char = tail.char(0)
+    if char != "{":
         raise _NotPlain
     document = {}
-    at = _skip_space(text, at + 1).end()
-    if not text.startswith("}", at):
+    at, char = tail.char(at + 1)
+    if char != "}":
         while True:
-            if not text.startswith('"', at):
+            if char != '"':
                 raise _NotPlain
-            key, at = _scan(text, at)
-            at = _skip_space(text, at).end()
-            if not text.startswith(":", at):
+            key, at = tail.scan(at)
+            at, char = tail.char(at)
+            if char != ":":
                 raise _NotPlain
-            at = _skip_space(text, at + 1).end()
-            if key == "result" and text.startswith("[", at):
-                document[key], at = _parse_entries(text, at)
+            at, char = tail.char(at + 1)
+            if key == "result" and char == "[":
+                document[key], at = _parse_entries(tail, at)
             else:
-                document[key], at = _scan(text, at)
-            at = _skip_space(text, at).end()
-            if text.startswith("}", at):
+                document[key], at = tail.scan(at)
+            at, char = tail.char(at)
+            if char == "}":
                 break
-            if not text.startswith(",", at):
+            if char != ",":
                 raise _NotPlain
-            at = _skip_space(text, at + 1).end()
-    if _skip_space(text, at + 1).end() != len(text):
+            at, char = tail.char(at + 1)
+    if tail.char(at + 1)[1]:
         raise _NotPlain  # data after the object
     return document
 
 
-def _parse_entries(text: str, at: int) -> tuple[ParseResult, int]:
+def _parse_entries(tail: _Tail, at: int) -> tuple[ParseResult, int]:
     """(the rows of the array at ``at``, the index after the array)."""
     def entries() -> Iterator:
         nonlocal at
-        at = _skip_space(text, at + 1).end()
-        if not text.startswith("]", at):
+        at, char = tail.char(at + 1)
+        if char != "]":
             while True:
-                entry, at = _scan(text, at)
+                entry, at = tail.scan(at)
                 yield entry
-                at = _skip_space(text, at).end()
-                if text.startswith("]", at):
+                at, char = tail.char(at)
+                if char == "]":
                     break
-                if not text.startswith(",", at):
+                if char != ",":
                     raise _NotPlain
-                at = _skip_space(text, at + 1).end()
+                at, char = tail.char(at + 1)
         at += 1
 
     fields_by_keys: dict[tuple, list] = {}  # an entry's keys -> its nine fields' keys

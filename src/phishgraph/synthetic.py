@@ -37,6 +37,9 @@ from .txmodel import (
 WINDOW_END = 1_700_000_000
 _BLOCK_SECONDS = 12
 _GENESIS = 1_438_000_000  # anchor for mapping timestamps to block numbers
+# Records are hashed and filled this many rows at a time, which bounds the
+# transient arrays beside the table.
+_BLOCK_ROWS = 4096
 
 
 def _is_int(x) -> bool:
@@ -187,27 +190,40 @@ def _dataset(draws: np.ndarray, addresses: list[bytes], n_benign: int) -> Labele
     table["label"] = np.where(order >= n_benign, Label.PHISHING, Label.BENIGN)
     table["provenance"] = LabelProvenance.SYNTHETIC.value
 
+    return LabeledDataset(table, _records(draws, row_of))
+
+
+def _records(draws: np.ndarray, row_of: np.ndarray) -> np.ndarray:
+    """The records of the raw draws, ordered by (timestamp, hash). The order
+    is worked out first, so each field is written once, ``_BLOCK_ROWS``
+    rows at a time, already in place."""
     n = len(draws)
+    hashes = np.empty(n, "S32")  # in generation order
+    for start in range(0, n, _BLOCK_ROWS):
+        hashes[start : start + _BLOCK_ROWS] = np.frombuffer(b"".join(
+            hashlib.sha256(f"synthetic-tx-{i}".encode()).digest()
+            for i in range(start, min(n, start + _BLOCK_ROWS))
+        ), "S32")
+    order = np.lexsort((hashes, draws[:, 0]))  # float times are exact integers
     records = np.empty(n, TX_RECORD)
-    records["tx_hash"] = np.frombuffer(
-        b"".join(hashlib.sha256(f"synthetic-tx-{i}".encode()).digest() for i in range(n)),
-        "S32",
-    )
-    timestamp, sender, receiver, gas_used, extra = draws[:, [0, 1, 2, 4, 5]].astype(np.int64).T
-    records["timestamp"] = timestamp
-    records["block_number"] = (timestamp - _GENESIS) // _BLOCK_SECONDS
-    records["sender"] = row_of[sender]
-    records["receiver"] = row_of[receiver]
-    # A value can exceed 64 bits, so it is cut into 32-bit limbs as a float:
-    # division by a power of two and the remainder are exact, and the cast to
-    # the limb type truncates, so each limb is that of the draw's int.
-    value = np.maximum(1.0, draws[:, 3])
-    records["value"] = (value[:, None] / 2.0 ** (32 * np.arange(7, -1, -1))) % 2.0**32
-    records["gas"] = gas_used + extra
-    records["gas_price"] = draws[:, 6].astype(np.uint64)
-    records["gas_used"] = gas_used
-    records = records[np.lexsort((records["tx_hash"], records["timestamp"]))]
-    return LabeledDataset(table, records)
+    for start in range(0, n, _BLOCK_ROWS):
+        rows = order[start : start + _BLOCK_ROWS]
+        block, raw = records[start : start + _BLOCK_ROWS], draws[rows]
+        block["tx_hash"] = hashes[rows]
+        timestamp, sender, receiver, gas_used, extra = raw[:, [0, 1, 2, 4, 5]].astype(np.int64).T
+        block["timestamp"] = timestamp
+        block["block_number"] = (timestamp - _GENESIS) // _BLOCK_SECONDS
+        block["sender"] = row_of[sender]
+        block["receiver"] = row_of[receiver]
+        # A value can exceed 64 bits, so it is cut into 32-bit limbs as a float:
+        # division by a power of two and the remainder are exact, and the cast
+        # to the limb type truncates, so each limb is that of the draw's int.
+        value = np.maximum(1.0, raw[:, 3])
+        block["value"] = (value[:, None] / 2.0 ** (32 * np.arange(7, -1, -1))) % 2.0**32
+        block["gas"] = gas_used + extra
+        block["gas_price"] = raw[:, 6].astype(np.uint64)
+        block["gas_used"] = gas_used
+    return records
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> LabeledDataset:

@@ -210,8 +210,7 @@ def transaction_table(txs: TxColumns) -> tuple[np.ndarray, np.ndarray]:
     labeled benign with ``ASSUMED_BENIGN`` provenance for the caller to
     relabel; the records keep the transactions' order.
     """
-    n = len(txs)
-    records = np.zeros(n, TX_RECORD)
+    records = np.zeros(len(txs), TX_RECORD)
     for name in ("block_number", "timestamp", "tx_hash", "gas", "gas_price", "gas_used"):
         records[name] = getattr(txs, name)
     # each 64-bit word of the value, least significant first, fills two limbs
@@ -224,8 +223,10 @@ def transaction_table(txs: TxColumns) -> tuple[np.ndarray, np.ndarray]:
         words = words >> 64
         if not words.any():  # the higher limbs stay zero
             break
-    addresses, rows = np.unique(np.concatenate([txs.sender, txs.receiver]), return_inverse=True)
-    records["sender"], records["receiver"] = rows[:n], rows[n:]
+    # each side's distinct endpoints, joined, then every endpoint's row among them
+    addresses = np.union1d(np.unique(txs.sender), np.unique(txs.receiver))
+    records["sender"] = np.searchsorted(addresses, txs.sender)
+    records["receiver"] = np.searchsorted(addresses, txs.receiver)
     table = np.zeros(len(addresses), ADDRESS_ROW)
     table["address"] = addresses
     table["provenance"] = LabelProvenance.ASSUMED_BENIGN.value

@@ -15,6 +15,7 @@ import io
 import json
 import re
 import struct
+import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
 
@@ -32,6 +33,25 @@ from phishgraph.txmodel import (
     hex_column,
     transaction_table,
 )
+
+
+def traced_peak(run, beyond_result: bool = False) -> int:
+    """Bytes of traced memory that ``run()`` peaks at beyond what was traced
+    when it started or, with ``beyond_result``, beyond what is still traced
+    when it returns: what it returns and keeps."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = run()
+        held, peak = tracemalloc.get_traced_memory()
+        del result
+        return peak - (held if beyond_result else base)
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 class Transaction(NamedTuple):

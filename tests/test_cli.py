@@ -245,6 +245,20 @@ class TestIngest:
         )
         assert code == 2
 
+    def test_error_envelope_among_exports_exits_2_naming_file(self, ingest_files,
+                                                               tmp_path, capsys):
+        tx_file, plist = ingest_files
+        bad = tmp_path / "err.json"
+        bad.write_text(json.dumps({"status": "0", "message": "NOTOK",
+                                   "result": "Max rate limit reached"}))
+        out = tmp_path / "out.bin"
+        code = main(["ingest", "--tx", str(tx_file), "--tx", str(bad),
+                     "--phishing-list", str(plist), "--out", str(out)])
+        assert code == 2
+        err = assert_clean_error(capsys)
+        assert err == f"error: {bad}: NOTOK: Max rate limit reached\n"
+        assert not out.exists()
+
     def test_field_beyond_64_bits_dropped_by_clean(self, ingest_files, tmp_path, capsys):
         tx_file, plist = ingest_files
         wide = csv_row(5, addr(5), addr(6)).replace(",80000,", f",{2**64},")

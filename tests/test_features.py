@@ -9,6 +9,7 @@ from phishgraph.features import (
     EXPLICIT_FEATURE_NAMES,
     IMPLICIT_FEATURE_NAMES,
     FeatureMatrix,
+    _exact_totals,
     concat_features,
     denormalize,
     extract_explicit,
@@ -18,9 +19,11 @@ from phishgraph.features import (
 from phishgraph.graph import build_graph
 from phishgraph.storage import load_dataset, save_dataset
 from phishgraph.synthetic import SyntheticConfig, generate_synthetic
+from phishgraph.txmodel import TX_RECORD
 
 from helpers import (
-    addr, dataset_from, make_tx, node_addresses, node_of, row_addresses, transactions,
+    addr, dataset_from, make_tx, node_addresses, node_of, row_addresses, traced_peak,
+    transactions,
 )
 
 # --------------------------------------------------------------------------
@@ -310,6 +313,20 @@ class TestExactColumns:
             if sent:
                 total = sum(t.gas_used for t in sent)
                 assert row[names.index("avg_gas_sent")] == float(total) / len(sent)
+
+
+def test_exact_totals_gather_one_limb_at_a_time():
+    """The exact totals of 100,000 256-bit values over 1,000 runs peak at
+    2.6 sizes of the row order in traced memory: one gathered limb as >u4
+    and as uint64, and its run sums. Gathering all eight limbs at once
+    peaked at 12.0."""
+    rng = np.random.default_rng(3)
+    n, nodes = 100_000, 1000
+    records = np.zeros(n, TX_RECORD)
+    records["value"] = rng.integers(0, 2**32, (n, 8), dtype=np.uint64)
+    order = rng.permutation(n)
+    counts = np.bincount(rng.integers(0, nodes, n), minlength=nodes)
+    assert traced_peak(lambda: _exact_totals(records["value"], order, counts)) < 4 * order.nbytes
 
 
 class TestMinMax:
