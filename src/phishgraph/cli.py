@@ -1,10 +1,13 @@
 """Command-line front end wiring the pipeline together.
 
-Subcommands: ingest, synth, run, importance, stats, compare. Every invocation
-resolves its configuration (flags > config file > defaults), writes a manifest
-recording inputs, digests, and seeds before any other artifact, and then runs.
-All randomness funnels through named seeds recorded in the manifest, so a
-rerun with identical inputs produces byte-identical artifacts.
+Subcommands: ingest, synth, run, compare, fetch, importance, stats. Every
+invocation resolves its configuration (flags > config file > defaults) and
+computes its results in memory. Only then does it write a manifest recording
+inputs, digests, and seeds, and then its other artifacts, so a command that
+fails writes no file (``compare`` does this per feature set and writes
+``comparison.json`` last). All randomness funnels through named seeds
+recorded in the manifest, so a rerun with identical inputs produces
+byte-identical artifacts.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3 runtime
 model failure (e.g. a single-class training split or a diverged training loss).
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ApiError, InvalidConfig, MalformedDocument, MalformedHeader, PipelineError
-from .evaluate import check_split, emit_report, stratified_split
+from .evaluate import emit_report, stratified_split
 from .features import (
     concat_features,
     extract_explicit,
@@ -114,6 +117,11 @@ def _parse_exports(tx_paths: list[str]) -> tuple[TxColumns, list[dict]]:
 
 def _cmd_ingest(args) -> int:
     out = Path(args.out)
+    # the lists first: a malformed one fails before any export is parsed
+    plist = PhishingList.from_files(args.phishing_list, args.verified)
+    txs, reject_sections = _parse_exports(args.tx)
+    txs, report = clean(txs)
+    ds = label_dataset(txs, plist, require_verified=args.require_verified)
     inputs = list(args.tx) + [args.phishing_list] + (
         [args.verified] if args.verified else []
     )
@@ -129,12 +137,6 @@ def _cmd_ingest(args) -> int:
         },
         [out.name, out.name + ".clean.json"],
     )
-
-    # the lists first: a malformed one fails before any export is parsed
-    plist = PhishingList.from_files(args.phishing_list, args.verified)
-    txs, reject_sections = _parse_exports(args.tx)
-    txs, report = clean(txs)
-    ds = label_dataset(txs, plist, require_verified=args.require_verified)
     save_dataset(ds, out)
     write_json(
         Path(str(out) + ".clean.json"),
@@ -170,6 +172,7 @@ def _synth_config(args) -> SyntheticConfig:
 def _cmd_synth(args) -> int:
     cfg = _synth_config(args)
     out = Path(args.out)
+    ds = generate_synthetic(cfg)
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "synth",
@@ -178,7 +181,6 @@ def _cmd_synth(args) -> int:
         [out.name],
         seeds={"generator": cfg.seed},
     )
-    ds = generate_synthetic(cfg)
     save_dataset(ds, out)
     benign, phishing = ds.class_counts()
     print(
@@ -219,7 +221,18 @@ def _gcn_config(args) -> GcnConfig:
 
 def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict:
     cfg = _gcn_config(args)
-    check_split(args.ratio, args.split_seed)
+    g, X = _load_features(dataset_path, feature_set)
+    split = stratified_split(g.labels, ratio=args.ratio, seed=args.split_seed)
+    fit_mask = np.ones(g.n_nodes, dtype=bool) if args.fit_all else split.train_mask
+    X_norm = fit_minmax(X, fit_mask)
+    batch = to_training_inputs(
+        g,
+        X_norm,
+        split,
+        add_self_loops=not args.no_self_loops,
+        symmetrize=not args.no_symmetrize,
+    )
+    model, report = train(batch, cfg)
     _write_manifest(
         out_dir / "manifest.json",
         "run",
@@ -235,19 +248,6 @@ def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict
         ["model.bin", "model.bin.json", "metrics.json", "report.txt"],
         seeds={"split": args.split_seed, "train": args.train_seed},
     )
-
-    g, X = _load_features(dataset_path, feature_set)
-    split = stratified_split(g.labels, ratio=args.ratio, seed=args.split_seed)
-    fit_mask = np.ones(g.n_nodes, dtype=bool) if args.fit_all else split.train_mask
-    X_norm = fit_minmax(X, fit_mask)
-    batch = to_training_inputs(
-        g,
-        X_norm,
-        split,
-        add_self_loops=not args.no_self_loops,
-        symmetrize=not args.no_symmetrize,
-    )
-    model, report = train(batch, cfg)
     save_model(model, out_dir / "model.bin", cfg, X.names)
     emit_report(out_dir, metrics_report=report.final_test, train_report=report)
     final = report.final_test
@@ -294,15 +294,21 @@ API_KEY_ENV = "PHISHGRAPH_API_KEY"
 
 
 def _cmd_fetch(args) -> int:
-    from .fetch import check_settings, fetch_address_history
+    from .fetch import fetch_address_history
 
     api_key = args.api_key or os.environ.get(API_KEY_ENV)
     if not api_key:
         raise InvalidConfig(
             f"no API key: pass --api-key or set {API_KEY_ENV}"
         )
-    address = Address(args.address)
-    check_settings(args.endpoint, args.page_limit, args.page_size, args.rate)
+    txs = fetch_address_history(
+        Address(args.address),
+        args.endpoint,
+        api_key,
+        page_limit=args.page_limit,
+        page_size=args.page_size,
+        requests_per_second=args.rate,
+    )
     out = Path(args.out)
     _write_manifest(
         Path(str(out) + ".manifest.json"),
@@ -316,15 +322,6 @@ def _cmd_fetch(args) -> int:
             "requests_per_second": args.rate,
         },
         [out.name],
-    )
-
-    txs = fetch_address_history(
-        address,
-        args.endpoint,
-        api_key,
-        page_limit=args.page_limit,
-        page_size=args.page_size,
-        requests_per_second=args.rate,
     )
     # re-emit the explorer envelope so the result feeds straight back into
     # `ingest --tx`
@@ -346,6 +343,9 @@ def _cmd_importance(args) -> int:
         seed=args.seed,
         balanced=args.balanced,
     )
+    g, X = _load_features(args.dataset, args.feature_set)
+    forest = train_forest(X, g.labels, cfg)
+    ranking = feature_importance(forest)
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "importance",
@@ -356,10 +356,6 @@ def _cmd_importance(args) -> int:
         [out.name],
         seeds={"forest": cfg.seed},
     )
-
-    g, X = _load_features(args.dataset, args.feature_set)
-    forest = train_forest(X, g.labels, cfg)
-    ranking = feature_importance(forest)
     write_importance(ranking, out)
     top_name, top_score = ranking[0]
     print(f"top feature: {top_name} ({top_score:.3f}) -> {out}")
@@ -371,6 +367,8 @@ def _cmd_importance(args) -> int:
 
 def _cmd_stats(args) -> int:
     out = Path(args.out)
+    g, X = _load_features(args.dataset, args.feature_set)
+    stats = class_feature_stats(X, g.labels)
     _write_manifest(
         Path(str(out) + ".manifest.json"),
         "stats",
@@ -378,9 +376,6 @@ def _cmd_stats(args) -> int:
         {"feature_set": args.feature_set},
         [out.name],
     )
-
-    g, X = _load_features(args.dataset, args.feature_set)
-    stats = class_feature_stats(X, g.labels)
     stats.to_csv(out)
     print(f"wrote per-class statistics for {X.n_features} features -> {out}")
     return 0

@@ -29,25 +29,21 @@ class SplitMasks:
     test_mask: np.ndarray
 
 
-def check_split(ratio: float, seed: int) -> None:
-    """Raise InvalidConfig for a split ratio outside (0, 1) or a negative seed."""
-    if not 0.0 < ratio < 1.0:
-        raise InvalidConfig(f"split ratio must lie in (0, 1), got {ratio}")
-    if seed < 0:
-        raise InvalidConfig(f"split seed must be non-negative, got {seed}")
-
-
 def stratified_split(
     labels: np.ndarray, ratio: float = 0.8, seed: int = 0
 ) -> SplitMasks:
     """Shuffle within each class and cut at floor(ratio * class size).
 
     The remainder goes to test, so per-class proportions deviate from the
-    ratio by at most one element. A split that leaves either side without an
+    ratio by at most one element. A ratio outside (0, 1) or a negative seed
+    is an ``InvalidConfig``; a split that leaves either side without an
     address is an ``EmptyMask``.
     """
+    if not 0.0 < ratio < 1.0:
+        raise InvalidConfig(f"split ratio must lie in (0, 1), got {ratio}")
+    if seed < 0:
+        raise InvalidConfig(f"split seed must be non-negative, got {seed}")
     labels = np.asarray(labels, dtype=np.int64)
-    check_split(ratio, seed)
     rng = np.random.default_rng(seed)
     train = np.zeros(len(labels), dtype=bool)
     test = np.zeros(len(labels), dtype=bool)

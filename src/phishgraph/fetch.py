@@ -12,6 +12,7 @@ from __future__ import annotations
 import http.client
 import logging
 import math
+import threading
 import time
 import urllib.parse
 import urllib.request
@@ -52,20 +53,6 @@ def _retry_after(header: str | None) -> float:
     return min(max(delay, 0.0), MAX_RETRY_AFTER_S)
 
 
-def check_settings(endpoint_url: str, page_limit: int, page_size: int,
-                   requests_per_second: float) -> None:
-    """Raise InvalidConfig for an endpoint that is not http or https, a page
-    limit or page size below one, or a negative or NaN rate."""
-    if not endpoint_url.lower().startswith(("http://", "https://")):
-        raise InvalidConfig(f"endpoint must be an http or https URL: {endpoint_url!r}")
-    if page_limit < 1 or page_size < 1:
-        raise InvalidConfig(
-            f"page limit and page size must be at least 1, not {page_limit} and {page_size}"
-        )
-    if not requests_per_second >= 0:
-        raise InvalidConfig(f"request rate must be non-negative, not {requests_per_second}")
-
-
 def fetch_address_history(
     address: Address,
     endpoint_url: str,
@@ -78,16 +65,32 @@ def fetch_address_history(
 ) -> TxColumns:
     """Retrieve up to ``page_limit`` pages of transactions in block order.
 
-    Raises InvalidConfig, before any request, for a setting that
-    ``check_settings`` rejects (a rate of 0 means no limit); NetworkError on
-    a transport failure, an HTTP 4xx/5xx status or a URL that urlopen cannot
+    The first request goes at once; each later one waits until
+    ``1 / requests_per_second`` seconds have passed since the one before (a
+    rate of 0 means no limit). Raises InvalidConfig, before any request, for
+    an endpoint that is not http or https, a page limit or page size below
+    one, or a rate that is negative, NaN or so small that its interval
+    exceeds the longest wait ``threading.TIMEOUT_MAX``; NetworkError on a
+    transport failure, an HTTP 4xx/5xx status or a URL that urlopen cannot
     parse (a ValueError), RateLimited once retries are exhausted, and
     ApiError on any other error envelope.
     """
-    check_settings(endpoint_url, page_limit, page_size, requests_per_second)
+    if not endpoint_url.lower().startswith(("http://", "https://")):
+        raise InvalidConfig(f"endpoint must be an http or https URL: {endpoint_url!r}")
+    if page_limit < 1 or page_size < 1:
+        raise InvalidConfig(
+            f"page limit and page size must be at least 1, not {page_limit} and {page_size}"
+        )
+    if not requests_per_second >= 0:
+        raise InvalidConfig(f"request rate must be non-negative, not {requests_per_second}")
     interval = 1.0 / requests_per_second if requests_per_second > 0 else 0.0
+    if interval > threading.TIMEOUT_MAX:
+        raise InvalidConfig(
+            f"request rate {requests_per_second} asks for a wait of more than "
+            f"{threading.TIMEOUT_MAX:.0f} s between requests"
+        )
     pages: list[TxColumns] = []
-    last_request = 0.0
+    last_request = -math.inf  # the first request does not wait
     for page in range(1, page_limit + 1):
         params = {
             "module": "account",

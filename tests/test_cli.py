@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -462,9 +463,8 @@ class TestRun:
              "--out-dir", str(out_dir), *RUN_SPEED_FLAGS]
         )
         assert code == 3
-        # manifest was written before the failure; no model artifact exists
-        assert (out_dir / "manifest.json").exists()
-        assert not (out_dir / "model.bin").exists()
+        # training failed, so no file was written, the manifest included
+        assert not out_dir.exists()
 
     def test_out_of_memory_is_one_error_line(self, dataset, tmp_path, monkeypatch, capsys):
         def no_memory(*args, **kwargs):
@@ -535,7 +535,7 @@ class TestRun:
     )
     def test_split_with_an_empty_side_exits_2(self, flags, side, tmp_path, capsys):
         """A ratio that rounds one side of the split to no address stops
-        before training, with only the manifest written."""
+        before training, with no file written."""
         ds_path = tmp_path / "ds.bin"
         assert main(small_synth_args(ds_path, seed=3, benign=40, phishing=10)) == 0
         capsys.readouterr()
@@ -544,7 +544,7 @@ class TestRun:
                      "--out-dir", str(out_dir), "--epochs", "3", *flags])
         assert code == 2
         assert f"{side} side" in assert_clean_error(capsys)
-        assert sorted(p.name for p in out_dir.iterdir()) == ["manifest.json"]
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("command", [["run", "--features", "implicit"], ["compare"]],
                              ids=["run", "compare"])
@@ -789,8 +789,9 @@ class TestFetchCommand:
 
     @pytest.mark.parametrize(
         "flags", [["--page-limit", "0"], ["--page-size", "-5"], ["--rate", "nan"],
-                  ["--endpoint", "file:///etc/hosts"], ["--address", "0x12"]],
-        ids=["page-limit", "page-size", "rate", "endpoint", "address"],
+                  ["--rate", "1e-300"], ["--endpoint", "file:///etc/hosts"],
+                  ["--address", "0x12"]],
+        ids=["page-limit", "page-size", "rate", "tiny-rate", "endpoint", "address"],
     )
     def test_bad_setting_exits_2_before_any_file(self, flags, tmp_path, monkeypatch,
                                                  capsys):
@@ -892,6 +893,81 @@ def test_negative_seed_exits_2(argv, tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main([*argv, "--dataset", "ds.bin"]) == 2
     assert "non-negative" in assert_clean_error(capsys)
+
+
+def _synth_input(tmp: Path, **counts) -> str:
+    path = tmp / "ds.bin"
+    assert main(small_synth_args(path, **counts)) == 0
+    return str(path)
+
+
+def _ingest_input(tmp: Path, header: bool = True, listed: str = addr(2)) -> list[str]:
+    tx_file, plist = tmp / "txs.csv", tmp / "phishing.txt"
+    tx_file.write_text("\n".join([HEADER] * header + [csv_row(1, addr(1), addr(2))]) + "\n")
+    plist.write_text(f"{listed}\n")
+    return ["--tx", str(tx_file), "--phishing-list", str(plist)]
+
+
+def _file_input(tmp: Path, name: str, data: bytes) -> str:
+    (tmp / name).write_bytes(data)
+    return str(tmp / name)
+
+
+# Invocations whose settings parse but whose work fails, keyed by an id that
+# starts with the subcommand: (exit code, argv made from an input directory
+# and an output directory)
+FAILS_WITHOUT_A_FILE = {
+    "ingest-bad-address-list": (2, lambda tmp, out: [
+        "ingest", *_ingest_input(tmp, listed="0xnot-an-address"),
+        "--out", str(out / "ds.bin")]),
+    "ingest-csv-without-header": (2, lambda tmp, out: [
+        "ingest", *_ingest_input(tmp, header=False), "--out", str(out / "ds.bin")]),
+    "synth-value-draw-out-of-range": (2, lambda tmp, out: [
+        "synth", "--config", _file_input(tmp, "cfg.json", b'{"benign_value_log_mu": 400.0}'),
+        "--out", str(out / "ds.bin")]),
+    "importance-feature-subsample-above-width": (2, lambda tmp, out: [
+        "importance", "--dataset", _synth_input(tmp), "--feature-subsample", "99",
+        "--out", str(out / "imp.json")]),
+    "run-empty-test-side": (2, lambda tmp, out: [
+        "run", "--dataset", _synth_input(tmp, benign=40, phishing=10),
+        "--features", "implicit", "--ratio", "0.99999999999", "--epochs", "3",
+        "--out-dir", str(out)]),
+    "stats-not-a-dataset": (2, lambda tmp, out: [
+        "stats", "--dataset", _file_input(tmp, "junk.bin", b"JUNK" + b"\x00" * 64),
+        "--out", str(out / "stats.csv")]),
+    "fetch-unreachable-endpoint": (1, lambda tmp, out: [
+        "fetch", "--address", addr(1), "--endpoint", "http://127.0.0.1:9/api",
+        "--api-key", "k", "--rate", "0", "--out", str(out / "txs.json")]),
+    "run-no-phishing-address": (3, lambda tmp, out: [
+        "run", "--dataset", _synth_input(tmp, phishing=0), "--features", "implicit",
+        "--epochs", "3", "--out-dir", str(out)]),
+    "compare-no-phishing-address": (3, lambda tmp, out: [
+        "compare", "--dataset", _synth_input(tmp, phishing=0), "--epochs", "3",
+        "--out-dir", str(out)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILS_WITHOUT_A_FILE))
+def test_failed_command_writes_no_file(case, tmp_path, capsys):
+    """A command computes its results before it writes its manifest, so one
+    that fails leaves nothing under its output path."""
+    code, make_argv = FAILS_WITHOUT_A_FILE[case]
+    inputs, out = tmp_path / "in", tmp_path / "out"
+    inputs.mkdir()
+    argv = make_argv(inputs, out)
+    assert case.startswith(argv[0] + "-")
+    capsys.readouterr()
+    assert main(argv) == code
+    err = assert_clean_error(capsys)
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_failed_command_cases_cover_every_subcommand():
+    parser = cli.build_parser()
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    assert {case.split("-")[0] for case in FAILS_WITHOUT_A_FILE} == set(commands)
 
 
 def test_pinned_json_artifact_digests(tmp_path, monkeypatch):

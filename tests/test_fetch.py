@@ -172,6 +172,7 @@ class TestFetch:
             {"page_size": -5},
             {"requests_per_second": -1.0},
             {"requests_per_second": float("nan")},
+            {"requests_per_second": 1e-300},
         ],
     )
     def test_bad_paging_or_rate_is_invalid_config(self, flags):
@@ -216,6 +217,19 @@ class TestFetch:
                                   requests_per_second=0)
         assert server.requests[0]["chainid"] == "1"
         assert server.requests[0]["action"] == "txlist"
+
+    def test_first_request_does_not_wait(self, monkeypatch, tmp_path):
+        """A slow rate spaces the requests; it does not delay the first one."""
+        from phishgraph.cli import main
+
+        sleeps = []
+        monkeypatch.setattr(fetch.time, "sleep", sleeps.append)
+        server = MockEtherscan({1: ok([tx_entry(1, 100)])})
+        with server as url:
+            assert main(["fetch", "--address", FROM_A, "--endpoint", url, "--api-key", "k",
+                         "--rate", "1e-9", "--out", str(tmp_path / "txs.json")]) == 0
+        assert len(server.requests) == 1
+        assert sleeps == []
 
     @pytest.mark.parametrize("header, wait", [
         ("0.01", 0.01),
