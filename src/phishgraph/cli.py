@@ -4,10 +4,11 @@ Subcommands: ingest, synth, run, compare, fetch, importance, stats. Every
 invocation resolves its configuration (flags > config file > defaults) and
 computes its results in memory. Only then does it write a manifest recording
 inputs, digests, and seeds, and then its other artifacts, so a command that
-fails writes no file (``compare`` does this per feature set and writes
-``comparison.json`` last). All randomness funnels through named seeds
-recorded in the manifest, so a rerun with identical inputs produces
-byte-identical artifacts.
+fails writes no file. ``run`` and ``compare`` share one training path: one
+load, graph, split and operator, a model trained per feature set, and only
+then each run's files (``compare`` writes ``comparison.json`` last). All
+randomness funnels through named seeds recorded in the manifest, so a rerun
+with identical inputs produces byte-identical artifacts.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or validation error, 3 runtime
 model failure (e.g. a single-class training split or a diverged training loss).
@@ -21,7 +22,7 @@ import io
 import logging
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,13 +87,14 @@ def _extract(ds, g, feature_set: str):
     raise InvalidConfig(f"unknown feature set {feature_set!r}")
 
 
-def _load_features(dataset: str | Path, feature_set: str):
-    """(graph, raw feature matrix) of a stored dataset; g.labels are its labels."""
+def _load_features(dataset: str | Path, *feature_sets: str):
+    """(graph, one raw feature matrix per set) of a stored dataset; g.labels
+    are its labels. The dataset itself is released on return."""
     ds = load_dataset(dataset)
     g = build_graph(ds)
     if g.n_nodes == 0:
         raise InvalidConfig("dataset contains no transactions")
-    return g, _extract(ds, g, feature_set)
+    return g, [_extract(ds, g, s) for s in feature_sets]
 
 
 # ---------------------------------------------------------------- ingest
@@ -219,57 +221,55 @@ def _gcn_config(args) -> GcnConfig:
     )
 
 
-def _run_once(args, dataset_path: Path, feature_set: str, out_dir: Path) -> dict:
+def _train_and_write(args, out_dirs: dict[str, Path]) -> dict[str, dict]:
+    """Train a GCN per feature set (the keys of ``out_dirs``) on one graph,
+    split and operator; each set's test metrics. No run's files are written
+    until every run has trained, so a failed run leaves no file."""
     cfg = _gcn_config(args)
-    g, X = _load_features(dataset_path, feature_set)
+    dataset_path = Path(args.dataset)
+    g, matrices = _load_features(dataset_path, *out_dirs)
     split = stratified_split(g.labels, ratio=args.ratio, seed=args.split_seed)
     fit_mask = np.ones(g.n_nodes, dtype=bool) if args.fit_all else split.train_mask
-    X_norm = fit_minmax(X, fit_mask)
-    batch = to_training_inputs(
-        g,
-        X_norm,
-        split,
-        add_self_loops=not args.no_self_loops,
-        symmetrize=not args.no_symmetrize,
-    )
-    model, report = train(batch, cfg)
-    _write_manifest(
-        out_dir / "manifest.json",
-        "run",
-        [dataset_path],
-        {
-            "features": feature_set,
-            "split_ratio": args.ratio,
-            "fit_all": bool(args.fit_all),
-            "add_self_loops": not args.no_self_loops,
-            "symmetrize": not args.no_symmetrize,
-            "gcn": asdict(cfg),
-        },
-        ["model.bin", "model.bin.json", "metrics.json", "report.txt"],
-        seeds={"split": args.split_seed, "train": args.train_seed},
-    )
-    save_model(model, out_dir / "model.bin", cfg, X.names)
-    emit_report(out_dir, metrics_report=report.final_test, train_report=report)
-    final = report.final_test
-    print(
-        f"[{feature_set}] test weighted F1 {final.weighted_f1:.2f}, "
-        f"phishing recall {final.recall['phishing']:.2f} -> {out_dir}"
-    )
-    return final.to_dict()
+    scaled = [fit_minmax(X, fit_mask) for X in matrices]
+    operator = {"add_self_loops": not args.no_self_loops, "symmetrize": not args.no_symmetrize}
+    batch = to_training_inputs(g, scaled[0], split, **operator)
+    # every set trains on the same operator, labels and split
+    runs = [train(replace(batch, features=X), cfg) for X in scaled]
+    results = {}
+    for (feature_set, out_dir), X, (model, report) in zip(out_dirs.items(), scaled, runs):
+        _write_manifest(
+            out_dir / "manifest.json",
+            "run",
+            [dataset_path],
+            {
+                "features": feature_set,
+                "split_ratio": args.ratio,
+                "fit_all": bool(args.fit_all),
+                **operator,
+                "gcn": asdict(cfg),
+            },
+            ["model.bin", "model.bin.json", "metrics.json", "report.txt"],
+            seeds={"split": args.split_seed, "train": args.train_seed},
+        )
+        save_model(model, out_dir / "model.bin", cfg, X.names)
+        emit_report(out_dir, metrics_report=report.final_test, train_report=report)
+        final = report.final_test
+        print(
+            f"[{feature_set}] test weighted F1 {final.weighted_f1:.2f}, "
+            f"phishing recall {final.recall['phishing']:.2f} -> {out_dir}"
+        )
+        results[feature_set] = final.to_dict()
+    return results
 
 
 def _cmd_run(args) -> int:
-    _run_once(args, Path(args.dataset), args.features, Path(args.out_dir))
+    _train_and_write(args, {args.features: Path(args.out_dir)})
     return 0
 
 
 def _cmd_compare(args) -> int:
     out_dir = Path(args.out_dir)
-    results = {}
-    for feature_set in ("explicit", "implicit"):
-        results[feature_set] = _run_once(
-            args, Path(args.dataset), feature_set, out_dir / feature_set
-        )
+    results = _train_and_write(args, {s: out_dir / s for s in ("explicit", "implicit")})
     deltas = {
         "phishing_recall": (
             results["implicit"]["per_class"]["phishing"]["recall"]
@@ -343,7 +343,7 @@ def _cmd_importance(args) -> int:
         seed=args.seed,
         balanced=args.balanced,
     )
-    g, X = _load_features(args.dataset, args.feature_set)
+    g, (X,) = _load_features(args.dataset, args.feature_set)
     forest = train_forest(X, g.labels, cfg)
     ranking = feature_importance(forest)
     _write_manifest(
@@ -367,7 +367,7 @@ def _cmd_importance(args) -> int:
 
 def _cmd_stats(args) -> int:
     out = Path(args.out)
-    g, X = _load_features(args.dataset, args.feature_set)
+    g, (X,) = _load_features(args.dataset, args.feature_set)
     stats = class_feature_stats(X, g.labels)
     _write_manifest(
         Path(str(out) + ".manifest.json"),

@@ -67,6 +67,8 @@ class GcnConfig:
     def __post_init__(self):
         if not self.hidden_dims or any(h < 1 for h in self.hidden_dims):
             raise InvalidConfig("hidden_dims must be a non-empty list of widths")
+        if max(self.hidden_dims) >= 2**63:  # numpy sizes arrays in int64
+            raise InvalidConfig(f"hidden_dims must be below 2**63, not {max(self.hidden_dims)}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise InvalidConfig("dropout_rate must lie in [0, 1)")
         if not 0 < self.learning_rate < np.inf:

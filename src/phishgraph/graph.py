@@ -127,13 +127,25 @@ def normalized_adjacency(
 
 @dataclass
 class GraphBatch:
-    """Everything the classifier needs, shape-checked by ``to_training_inputs``."""
+    """Everything the classifier needs, shape-checked whenever it is built,
+    so a ``dataclasses.replace`` that swaps in other features is checked too."""
 
     features: "FeatureMatrix"
     norm_adj: SparseMatrix
     labels: np.ndarray       # (n,) int codes
     train_mask: np.ndarray   # (n,) bool
     test_mask: np.ndarray    # (n,) bool
+
+    def __post_init__(self):
+        n, rows = len(self.labels), self.features.rows.shape[0]
+        if rows != n:
+            raise ShapeMismatch(f"feature rows ({rows}) != node count ({n})")
+        self.train_mask = np.asarray(self.train_mask, dtype=bool)
+        self.test_mask = np.asarray(self.test_mask, dtype=bool)
+        if self.train_mask.shape != (n,) or self.test_mask.shape != (n,):
+            raise ShapeMismatch("masks must be boolean vectors over nodes")
+        if np.any(self.train_mask & self.test_mask):
+            raise ShapeMismatch("train and test masks overlap")
 
 
 def to_training_inputs(
@@ -144,14 +156,5 @@ def to_training_inputs(
     symmetrize: bool = True,
 ) -> GraphBatch:
     """Pack features, normalized adjacency, labels, and split masks."""
-    n = g.n_nodes
-    if X.rows.shape[0] != n:
-        raise ShapeMismatch(f"feature rows ({X.rows.shape[0]}) != node count ({n})")
-    train = np.asarray(split.train_mask, dtype=bool)
-    test = np.asarray(split.test_mask, dtype=bool)
-    if train.shape != (n,) or test.shape != (n,):
-        raise ShapeMismatch("masks must be boolean vectors over nodes")
-    if np.any(train & test):
-        raise ShapeMismatch("train and test masks overlap")
     adj = normalized_adjacency(g, add_self_loops=add_self_loops, symmetrize=symmetrize)
-    return GraphBatch(X, adj, g.labels, train, test)
+    return GraphBatch(X, adj, g.labels, split.train_mask, split.test_mask)

@@ -113,6 +113,8 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise InvalidConfig("need at least one tree")
+        if self.n_trees >= 2**63:  # one int64 seed is drawn per tree
+            raise InvalidConfig(f"n_trees must be below 2**63, not {self.n_trees}")
         if self.max_depth < 1:
             raise InvalidConfig("max_depth must be positive")
         if self.min_leaf < 1:

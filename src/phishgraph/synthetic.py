@@ -46,10 +46,20 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_finite_number(x) -> bool:
+    """A finite float, or an integer that converts to one."""
+    if _is_int(x):
+        try:
+            x = float(x)
+        except OverflowError:
+            return False
+    return isinstance(x, float) and math.isfinite(x)
+
+
 # SyntheticConfig field annotation -> (what a value must be, its check)
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a finite number", lambda x: _is_int(x) or (isinstance(x, float) and math.isfinite(x))),
+    "float": ("a finite number", _is_finite_number),
     "tuple[int, int]": (
         "a pair of integers",
         lambda x: isinstance(x, tuple) and len(x) == 2 and all(map(_is_int, x)),

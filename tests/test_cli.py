@@ -14,7 +14,7 @@ import pytest
 import phishgraph
 from phishgraph import cli, gcn
 from phishgraph.cli import main
-from phishgraph.errors import PipelineError
+from phishgraph.errors import PipelineError, TrainingDiverged
 from phishgraph.features import EXPLICIT_FEATURE_NAMES, IMPLICIT_FEATURE_NAMES
 from phishgraph.graph import build_graph, normalized_adjacency
 from phishgraph.storage import load_dataset, save_dataset, sha256_file
@@ -355,6 +355,7 @@ class TestSynth:
             {"benign_value_log_sigma": float("nan")},  # the draw is nan
             {"tx_per_address_range": [1, 10**30]},     # beyond int64 draws
             {"benign_peer_count_range": [1, 10**30]},
+            {"benign_value_log_mu": 10**400},  # beyond any float
         ],
     )
     def test_out_of_range_config_exits_2(self, config, tmp_path, capsys):
@@ -518,6 +519,7 @@ class TestRun:
             ["--weight-mode", "manual", "--manual-weights", "nan,1"],
             ["--weight-mode", "manual", "--manual-weights", "1,inf"],
             ["--manual-weights", "1,2.5"],
+            ["--hidden-dims", f"8,{2**63}"],
         ],
     )
     def test_malformed_gcn_flag_exits_2(self, flags, dataset, tmp_path, capsys):
@@ -615,6 +617,65 @@ class TestCompare:
         assert (out_dir / "explicit" / "metrics.json").exists()
         assert (out_dir / "implicit" / "metrics.json").exists()
 
+    def test_each_run_matches_the_run_command(self, tmp_path, monkeypatch):
+        """compare's explicit/ and implicit/ hold the bytes `run` writes for
+        that feature set with the same flags and dataset path."""
+        monkeypatch.chdir(tmp_path)
+        assert main(small_synth_args("ds.bin", seed=2, benign=60, phishing=15)) == 0
+        flags = ["--dataset", "./ds.bin", *RUN_SPEED_FLAGS, "--split-seed", "4"]
+        assert main(["compare", "--out-dir", "cmp", *flags]) == 0
+        for feature_set in ("explicit", "implicit"):
+            assert main(["run", "--features", feature_set, "--out-dir", feature_set,
+                         *flags]) == 0
+            ran = {p.name: p.read_bytes() for p in Path(feature_set).iterdir()}
+            compared = {p.name: p.read_bytes() for p in Path("cmp", feature_set).iterdir()}
+            assert set(ran) == {"manifest.json", "model.bin", "model.bin.json",
+                                "metrics.json", "report.txt"}
+            assert compared == ran
+
+    def test_one_load_graph_split_and_operator(self, tmp_path, monkeypatch):
+        """Both feature sets train on one loaded dataset, graph, split and
+        normalized adjacency."""
+        ds_path = tmp_path / "ds.bin"
+        assert main(small_synth_args(ds_path, seed=2, benign=60, phishing=15)) == 0
+        calls = {}
+        for target in ("phishgraph.cli.load_dataset", "phishgraph.cli.build_graph",
+                       "phishgraph.cli.stratified_split", "phishgraph.cli.to_training_inputs",
+                       "phishgraph.graph.normalized_adjacency"):
+            module_name, name = target.rsplit(".", 1)
+            inner = getattr(importlib.import_module(module_name), name)
+
+            def counted(*args, inner=inner, name=name, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(target, counted)
+        assert main(["compare", "--dataset", str(ds_path), "--out-dir", str(tmp_path / "cmp"),
+                     *RUN_SPEED_FLAGS]) == 0
+        assert calls == dict.fromkeys(("load_dataset", "build_graph", "stratified_split",
+                                       "to_training_inputs", "normalized_adjacency"), 1)
+
+    def test_failed_second_run_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        """The explicit run trains; the implicit one diverges: compare exits 3
+        and writes neither run's files."""
+        ds_path = tmp_path / "ds.bin"
+        assert main(small_synth_args(ds_path, seed=2, benign=60, phishing=15)) == 0
+        capsys.readouterr()
+        real_train = cli.train
+
+        def diverge_on_implicit(batch, cfg):
+            if batch.features.names == IMPLICIT_FEATURE_NAMES:
+                raise TrainingDiverged("training diverged: planted at epoch 1")
+            return real_train(batch, cfg)
+
+        monkeypatch.setattr(cli, "train", diverge_on_implicit)
+        out_dir = tmp_path / "cmp"
+        assert main(["compare", "--dataset", str(ds_path), "--out-dir", str(out_dir),
+                     *RUN_SPEED_FLAGS]) == 3
+        err = assert_clean_error(capsys)
+        assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not out_dir.exists()
+
 
 def planted_value_dataset(tmp_path) -> Path:
     """Phishing senders move 100x larger values; schedules are identical
@@ -698,6 +759,16 @@ class TestImportance:
         assert code == 2
         err = assert_clean_error(capsys)
         assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+        assert not out_dir.exists()
+
+    def test_tree_count_beyond_int64_exits_2(self, tmp_path, capsys):
+        """One int64 seed is drawn per tree, so 2**63 trees are refused."""
+        ds_path = planted_value_dataset(tmp_path)
+        out_dir = tmp_path / "out"
+        code = main(["importance", "--dataset", str(ds_path), "--trees", str(2**63),
+                     "--out", str(out_dir / "imp.json")])
+        assert code == 2
+        assert "2**63" in assert_clean_error(capsys)
         assert not out_dir.exists()
 
 
