@@ -7,12 +7,17 @@ transactions grouped by those node pairs. Propagation uses a 0/1 adjacency
 built from the same pairs, symmetrized by default (the symmetric normal form
 is only well defined for symmetric matrices), with self-loops added so nodes
 retain their own features. Both behaviors are flag-selectable for ablation.
-The operator comes from one scipy COO-to-CSR conversion, which merges
-parallel and mirrored pairs and sorts the column ids of each row.
+The operator's canonical CSR arrays are built in numpy and its products run
+scipy's compiled CSR routines alone, so no command imports ``scipy.sparse``.
 """
 from __future__ import annotations
 
+import functools
+import importlib.util
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -20,9 +25,7 @@ import numpy as np
 from .errors import ShapeMismatch
 from .txmodel import LabeledDataset
 
-if TYPE_CHECKING:  # pragma: no cover - annotations only: import cycles, lazy scipy
-    from scipy.sparse import csr_array
-
+if TYPE_CHECKING:  # pragma: no cover - annotations only: import cycles
     from .evaluate import SplitMasks
     from .features import FeatureMatrix
 
@@ -52,43 +55,73 @@ def build_graph(ds: LabeledDataset) -> TxGraph:
     return TxGraph(rows, node_of[ends], labels)
 
 
+@functools.cache
+def _sparsetools():
+    """The compiled CSR routines that ``csr_array`` runs, loaded from their own
+    file, which skips the slow import of the ``scipy.sparse`` package, and kept
+    out of ``sys.modules``; through the package only if the file will not load."""
+    name, held = "scipy.sparse._sparsetools", sys.modules.get("scipy.sparse._sparsetools")
+    try:
+        folder = Path(importlib.util.find_spec("scipy").origin).parent / "sparse"
+        path = next(p for s in EXTENSION_SUFFIXES if (p := folder / f"_sparsetools{s}").is_file())
+        loader = ExtensionFileLoader(name, str(path))
+        module = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+        loader.exec_module(module)
+    except (AttributeError, ImportError, OSError, StopIteration, TypeError):
+        return importlib.import_module(name)
+    if held is None:  # loading a single-phase extension registers it
+        sys.modules.pop(name, None)
+    return module
+
+
 @dataclass
 class SparseMatrix:
-    """A float64 matrix held as one canonical ``scipy.sparse.csr_array``.
+    """A float64 matrix in canonical CSR form: no duplicate entries and sorted
+    column ids in every row, the order in which ``spmv`` sums each row. The
+    class exists only so that ``benchmarks/traced_cli.py`` can time
+    ``transpose`` and read ``nnz`` and ``n_rows`` from ``spmv``'s operand. The
+    compiled routines read it unchecked, so only this module builds one."""
 
-    Canonical means no duplicate entries and sorted column ids in every row.
-    ``spmv`` sums each row in its stored column order, so that order fixes
-    the bits of every product. The wrapper stays only so that
-    ``benchmarks/traced_cli.py`` can time ``transpose`` and read ``nnz`` and
-    ``n_rows`` from ``spmv``'s operand.
-    """
-
-    csr: "csr_array"
+    indptr: np.ndarray   # (n_rows + 1,) int64 start of each row's entries
+    indices: np.ndarray  # (nnz,) int64 column ids
+    data: np.ndarray     # (nnz,) float64 values
+    shape: tuple[int, int]
+    symmetric: bool = False  # pattern and bits: the matrix is its own transpose
 
     @property
     def n_rows(self) -> int:
-        return self.csr.shape[0]
+        return self.shape[0]
 
     @property
     def n_cols(self) -> int:
-        return self.csr.shape[1]
+        return self.shape[1]
 
     @property
     def nnz(self) -> int:
-        return self.csr.nnz
+        return len(self.data)
 
     def transpose(self) -> "SparseMatrix":
-        return SparseMatrix(self.csr.T.tocsr())
+        if self.symmetric:  # entry a_ij * (d_i * d_j) has the bits of a_ji * (d_j * d_i)
+            return self
+        t = SparseMatrix(np.empty(self.n_cols + 1, np.int64), np.empty(self.nnz, np.int64),
+                         np.empty(self.nnz), self.shape[::-1])
+        _sparsetools().csr_tocsc(*self.shape, self.indptr, self.indices, self.data,
+                                 t.indptr, t.indices, t.data)
+        return t
 
 
 def spmv(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:
-    """Exact sparse @ dense product (dense may be a vector or a matrix)."""
+    """Exact sparse @ dense product (dense may be a vector or a matrix), with
+    the routine and zeroed C-ordered output that ``csr_array @ dense`` uses."""
     dense = np.asarray(dense, dtype=np.float64)
-    if dense.shape[0] != m.n_cols:
-        raise ShapeMismatch(
-            f"operand has {dense.shape[0]} rows, matrix has {m.n_cols} columns"
-        )
-    return m.csr @ dense
+    if dense.ndim not in (1, 2) or dense.shape[0] != m.n_cols:
+        raise ShapeMismatch(f"operand of shape {dense.shape} does not fit {m.n_cols} columns")
+    out, csr = np.zeros((m.n_rows, *dense.shape[1:])), (m.indptr, m.indices, m.data)
+    if dense.ndim == 1 or dense.shape[1] == 1:
+        _sparsetools().csr_matvec(*m.shape, *csr, dense.ravel(), out.ravel())
+    else:
+        _sparsetools().csr_matvecs(*m.shape, dense.shape[1], *csr, dense.ravel(), out.ravel())
+    return out
 
 
 def normalized_adjacency(
@@ -103,26 +136,28 @@ def normalized_adjacency(
     A self-transfer is an edge on the diagonal, so with self-loops on its
     node's diagonal entry of A~ is 2.
     """
-    # imported here, so commands that never build the operator never load scipy
-    from scipy.sparse import coo_array, csr_array
-
     n = g.n_nodes
     src, dst = g.tx_nodes.T
     if symmetrize:
         src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
-    # the conversion sums parallel and mirrored transfers and sorts each row
-    adj = coo_array((np.ones(len(src)), (src, dst)), shape=(n, n)).tocsr()
-    adj.data[:] = 1.0
+    # distinct row-major keys by a sort and a neighbour mask, far faster than np.unique
+    keys = np.sort(src * n + dst)
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    data = np.ones(len(keys))
     if add_self_loops:
-        loops = np.arange(n + 1)
-        adj = adj + csr_array((np.ones(n), loops[:-1], loops), shape=(n, n))
-    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
-    degree = np.bincount(rows, weights=adj.data, minlength=n)
+        on_diagonal = keys % (n + 1) == 0  # the key i * n + i of entry (i, i)
+        data[on_diagonal] = 2.0
+        loops = np.setdiff1d(np.arange(n) * (n + 1), keys[on_diagonal], assume_unique=True)
+        at = np.searchsorted(keys, loops)
+        keys, data = np.insert(keys, at, loops), np.insert(data, at, 1.0)
+    rows, indices = np.divmod(keys, n)
+    degree = np.bincount(rows, weights=data, minlength=n)
     inv_sqrt = np.zeros(n)
     positive = degree > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
-    adj.data *= inv_sqrt[rows] * inv_sqrt[adj.indices]
-    return SparseMatrix(adj)
+    data *= inv_sqrt[rows] * inv_sqrt[indices]
+    return SparseMatrix(np.searchsorted(rows, np.arange(n + 1)), indices, data, (n, n),
+                        symmetric=symmetrize)
 
 
 @dataclass

@@ -199,8 +199,11 @@ def labels_vector(ds: LabeledDataset, g) -> np.ndarray:
 
 
 def to_dense(m) -> np.ndarray:
-    """A SparseMatrix as a dense array."""
-    return m.csr.toarray()
+    """A SparseMatrix as a dense array, its entries summed one at a time."""
+    dense = np.zeros(m.shape)
+    rows = np.repeat(np.arange(m.n_rows), np.diff(m.indptr))
+    np.add.at(dense, (rows, m.indices), m.data)
+    return dense
 
 
 def random_tx_dataset(seed: int, n_addr: int = 8, n_tx: int = 14,

@@ -1,3 +1,4 @@
+import importlib
 import os
 import random
 import subprocess
@@ -6,8 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.sparse import csr_array
+from scipy.sparse import coo_array, csr_array
 
+from phishgraph import graph
 from phishgraph.errors import ShapeMismatch
 from phishgraph.graph import (
     SparseMatrix,
@@ -40,6 +42,41 @@ from helpers import (
 def synth_1x_graph():
     """The graph of the default 1x corpus, ``synth --seed 101``."""
     return build_graph(generate_synthetic(SyntheticConfig(seed=101)))
+
+
+def sparse(dense) -> SparseMatrix:
+    """The SparseMatrix of a dense array, through scipy's own CSR conversion."""
+    c = csr_array(np.asarray(dense, dtype=np.float64))
+    return SparseMatrix(c.indptr.astype(np.int64), c.indices.astype(np.int64), c.data, c.shape)
+
+
+def coo_operator(g, add_self_loops: bool, symmetrize: bool) -> csr_array:
+    """The operator as one scipy COO-to-CSR conversion builds it, written out
+    as the reference that ``normalized_adjacency``'s numpy arrays must equal."""
+    n = g.n_nodes
+    src, dst = g.tx_nodes.T
+    if symmetrize:
+        src, dst = np.concatenate((src, dst)), np.concatenate((dst, src))
+    adj = coo_array((np.ones(len(src)), (src, dst)), shape=(n, n)).tocsr()
+    adj.data[:] = 1.0
+    if add_self_loops:
+        loops = np.arange(n + 1)
+        adj = adj + csr_array((np.ones(n), loops[:-1], loops), shape=(n, n))
+    rows = np.repeat(np.arange(n), np.diff(adj.indptr))
+    degree = np.bincount(rows, weights=adj.data, minlength=n)
+    inv_sqrt = np.zeros(n)
+    positive = degree > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(degree[positive])
+    adj.data *= inv_sqrt[rows] * inv_sqrt[adj.indices]
+    return adj
+
+
+def assert_same_csr(m: SparseMatrix, ref: csr_array) -> None:
+    """Same shape, index arrays (dtypes included) and data bytes."""
+    assert m.shape == ref.shape
+    for got, want in ((m.indptr, ref.indptr), (m.indices, ref.indices)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert m.data.dtype == ref.data.dtype and m.data.tobytes() == ref.data.tobytes()
 
 
 def power_iteration_radius(dense: np.ndarray, iters: int = 500) -> float:
@@ -133,11 +170,11 @@ class TestSparseMatrix:
     def test_transpose(self):
         rng = np.random.default_rng(2)
         dense = np.where(rng.random((5, 3)) < 0.4, rng.normal(size=(5, 3)), 0.0)
-        m = SparseMatrix(csr_array(dense))
+        m = sparse(dense)
         assert np.array_equal(to_dense(m.transpose()), dense.T)
 
     def test_transpose_of_rectangular_with_empty_rows(self):
-        m = SparseMatrix(csr_array([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]]))
+        m = sparse([[0.0, 2.0], [0.0, 0.0], [0.0, 0.0], [3.0, 1.0]])
         t = m.transpose()
         assert (t.n_rows, t.n_cols, t.nnz) == (2, 4, 3)
         assert np.array_equal(to_dense(t), to_dense(m).T)
@@ -145,19 +182,19 @@ class TestSparseMatrix:
 
 class TestSpmv:
     def test_identity(self):
-        eye = SparseMatrix(csr_array(np.eye(3)))
+        eye = sparse(np.eye(3))
         dense = np.arange(12, dtype=float).reshape(3, 4)
         assert np.array_equal(spmv(eye, dense), dense)
 
     def test_zero_matrix(self):
-        zero = SparseMatrix(csr_array((3, 3)))
+        zero = sparse(np.zeros((3, 3)))
         assert zero.nnz == 0
         assert np.array_equal(spmv(zero, np.ones((3, 2))), np.zeros((3, 2)))
 
     def test_against_dense_oracle(self):
         rng = np.random.default_rng(3)
         dense_m = np.where(rng.random((8, 8)) < 0.3, rng.normal(size=(8, 8)), 0.0)
-        m = SparseMatrix(csr_array(dense_m))
+        m = sparse(dense_m)
         operand = rng.normal(size=(8, 4))
         expected = dense_m @ operand
         got = spmv(m, operand)
@@ -165,13 +202,97 @@ class TestSpmv:
         assert rel.max() <= 1e-12
 
     def test_vector_operand(self):
-        eye = SparseMatrix(csr_array(np.eye(2)))
+        eye = sparse(np.eye(2))
         assert np.array_equal(spmv(eye, np.array([3.0, 4.0])), np.array([3.0, 4.0]))
 
     def test_shape_mismatch(self):
-        eye = SparseMatrix(csr_array(np.eye(2)))
+        eye = sparse(np.eye(2))
         with pytest.raises(ShapeMismatch):
             spmv(eye, np.ones((3, 2)))
+
+
+class TestCompiledKernel:
+    """``spmv`` and ``transpose`` call scipy's private compiled CSR routines
+    directly, so a scipy whose routines change must fail here rather than
+    change a product's bits."""
+
+    @staticmethod
+    def operands(n: int):
+        rng = np.random.default_rng(n)
+        matrix = rng.normal(size=(n, 5))
+        return {"vector": rng.normal(size=n), "column": rng.normal(size=(n, 1)),
+                "c-ordered": matrix, "f-ordered": np.asfortranarray(matrix * 3.0)}
+
+    @pytest.mark.parametrize("shape,density", [((9, 9), 0.3), ((6, 4), 0.5), ((4, 3), 0.0)],
+                             ids=["square", "rectangular-empty-rows", "nnz-0"])
+    def test_spmv_bytes_match_csr_array(self, shape, density):
+        rng = np.random.default_rng(7)
+        dense = np.where(rng.random(shape) < density, rng.normal(size=shape), 0.0)
+        if shape == (6, 4):
+            dense[[1, 4]] = 0.0  # empty rows
+        m = sparse(dense)
+        assert (m.nnz == 0) == (density == 0.0)
+        ref = csr_array((m.data, m.indices, m.indptr), shape=m.shape)
+        for name, x in self.operands(shape[1]).items():
+            got, want = spmv(m, x), ref @ x
+            assert got.shape == want.shape and got.flags.c_contiguous, name
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_transpose_matches_csr_array(self):
+        rng = np.random.default_rng(8)
+        dense = np.where(rng.random((7, 5)) < 0.4, rng.normal(size=(7, 5)), 0.0)
+        m = sparse(dense)
+        t = m.transpose()
+        assert t is not m
+        assert_same_csr(t, csr_array((m.data, m.indices, m.indptr), shape=m.shape).T.tocsr())
+
+    @pytest.mark.parametrize("add_self_loops", [True, False])
+    @pytest.mark.parametrize("symmetrize", [True, False])
+    def test_corpus_operator_matches_coo_conversion(self, synth_1x_graph, add_self_loops,
+                                                    symmetrize):
+        g = synth_1x_graph
+        m = normalized_adjacency(g, add_self_loops=add_self_loops, symmetrize=symmetrize)
+        ref = coo_operator(g, add_self_loops, symmetrize)
+        assert_same_csr(m, ref)
+        t = m.transpose()
+        # a symmetrized operator is its own transpose, bit for bit
+        assert (t is m) == symmetrize
+        assert_same_csr(t, ref.T.tocsr())
+        for name, x in self.operands(g.n_nodes).items():
+            assert spmv(m, x).tobytes() == (ref @ x).tobytes(), name
+            assert spmv(t, x).tobytes() == (ref.T.tocsr() @ x).tobytes(), name
+
+    def test_kernel_is_scipys_compiled_module(self):
+        import scipy.sparse._sparsetools as kernel
+
+        assert graph._sparsetools().__file__ == kernel.__file__
+
+    @pytest.mark.parametrize("failure", ["no-file", "no-load"])
+    def test_falls_back_to_package_import(self, monkeypatch, failure):
+        m = sparse([[0.0, 2.0, 1.5], [0.0, 0.0, 0.0], [3.0, 1.0, 0.0]])
+        x = np.arange(6.0).reshape(3, 2) / 7.0
+        want = spmv(m, x).tobytes()
+        imported, real_import = [], importlib.import_module
+
+        def spy(name, *args):
+            imported.append(name)
+            return real_import(name, *args)
+
+        def no_load(*args):
+            raise ImportError("cannot load the kernel file")
+
+        monkeypatch.setattr(importlib, "import_module", spy)
+        if failure == "no-file":
+            monkeypatch.setattr(graph, "EXTENSION_SUFFIXES", ())
+        else:
+            monkeypatch.setattr(graph, "ExtensionFileLoader", no_load)
+        graph._sparsetools.cache_clear()
+        try:
+            assert spmv(m, x).tobytes() == want
+            assert m.transpose().nnz == m.nnz
+            assert imported == ["scipy.sparse._sparsetools"]
+        finally:
+            graph._sparsetools.cache_clear()
 
 
 class TestNormalizedAdjacency:
@@ -238,13 +359,13 @@ class TestNormalizedAdjacency:
         want = normalized_adjacency_oracle(g, add_self_loops, symmetrize)
         # every node of this corpus sends, so no entry is an explicit zero
         # that csr_array(want) would drop
-        assert np.all(m.csr.data != 0.0)
+        assert np.all(m.data != 0.0)
         for got, dense in ((m, want), (m.transpose(), want.T)):
             ref = csr_array(dense)
-            assert got.csr.shape == ref.shape
-            assert np.array_equal(got.csr.indptr, ref.indptr)
-            assert np.array_equal(got.csr.indices, ref.indices)
-            assert got.csr.data.tobytes() == ref.data.tobytes()
+            assert got.shape == ref.shape
+            assert np.array_equal(got.indptr, ref.indptr)
+            assert np.array_equal(got.indices, ref.indices)
+            assert got.data.tobytes() == ref.data.tobytes()
 
     def test_empty_graph(self):
         m = normalized_adjacency(build_graph(dataset_from([])))
@@ -276,20 +397,33 @@ class TestNormalizedAdjacency:
             assert power_radius <= eig_radius + 1e-6
 
 
-def test_cli_graph_and_gcn_import_without_scipy():
-    # ingest, synth, stats and importance never build the operator, so
-    # importing the program must not pay for loading scipy.sparse
-    code = (
-        "import sys, phishgraph.cli, phishgraph.graph, phishgraph.gcn; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    )
+def test_cli_graph_and_gcn_import_without_scipy(tmp_path):
+    # importing the program loads no scipy module, and neither does any
+    # command: run and compare load only the compiled CSR routines, from their
+    # file, after which an import of scipy.sparse still runs as usual
+    code = f"""
+import sys
+import phishgraph.cli, phishgraph.graph, phishgraph.gcn
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+out = {str(tmp_path)!r}
+data = ["--dataset", out + "/ds.bin", "--epochs", "2"]
+for args in (["synth", "--seed", "3", "--benign", "30", "--phishing", "8",
+              "--out", out + "/ds.bin"],
+             ["run", *data, "--features", "both", "--out-dir", out + "/run"],
+             ["compare", *data, "--no-symmetrize", "--out-dir", out + "/cmp"]):
+    assert phishgraph.cli.main(args) == 0, args
+print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))
+import scipy.sparse
+print(scipy.sparse.identity(2).nnz)
+"""
     src = Path(__file__).resolve().parents[1] / "src"
     path = [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines()[0] == "[]"
+    assert done.stdout.splitlines()[-2:] == ["[]", "2"]
 
 
 class TestTrainingInputs:
