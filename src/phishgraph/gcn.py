@@ -4,8 +4,8 @@ The forward pass follows the symmetric-normalized propagation rule: every
 layer computes activations(A_hat @ H @ W) with ReLU on hidden layers and a
 row-wise softmax on the two-unit output layer. Inverted dropout is applied to
 hidden activations only while training, as a boolean keep mask per hidden
-layer and the one scale 1/keep. There are no bias terms unless explicitly
-enabled, keeping the layer rule literal.
+layer (drawn in blocks) and the one scale 1/keep. There are no bias terms
+unless explicitly enabled, keeping the layer rule literal.
 
 The loss is a class-weighted cross-entropy summed over the masked nodes,
 L = -sum_i w(y_i) * log p_i(y_i), with the log clamped at 1e-12 so a
@@ -15,18 +15,20 @@ mass of the two classes.
 
 Gradients are exact and analytic (fused softmax/cross-entropy at the output,
 ReLU masks, dropout masks reused from the forward pass, and the transposed
-operator for the propagation step). Training is full batch, deterministic
-for a fixed (seed, config, data) triple, with Adam by default and plain
-gradient descent available for gradient checking. Both optimizers step one
-parameter list, `GcnModel.params`: every layer's weights, then every layer's
-biases when enabled, the order model.bin stores them in; `backward` returns
-its gradients in that order. Dropout never touches the input features, so
-when the first layer propagates before its product, training computes
-A_hat @ X once and every forward pass reuses it. A loss or a weight that
-turns non-finite stops training with TrainingDiverged. ``GcnConfig`` checks
-its fields when it is built, ``dataclasses.replace`` included, so ``train``
-never sees an invalid one; the CLI's choices come from ``WEIGHT_MODES`` and
-``OPTIMIZERS``.
+operator for the propagation step). An epoch holds only what backward reads:
+ReLU runs in place and is cached as a bool mask, and backward writes each
+upstream gradient into the cached operand it has just spent. Training is
+full batch, deterministic for a fixed (seed, config, data) triple, with Adam
+by default and plain gradient descent available for gradient checking. Both
+optimizers step one parameter list, `GcnModel.params`: every layer's
+weights, then every layer's biases when enabled, the order model.bin stores
+them in; `backward` returns its gradients in that order. Dropout never
+touches the input features, so when the first layer propagates before its
+product, training computes A_hat @ X once and every forward pass reuses it.
+A loss or a weight that turns non-finite stops training with
+TrainingDiverged. ``GcnConfig`` checks its fields when it is built,
+``dataclasses.replace`` included, so ``train`` never sees an invalid one;
+the CLI's choices come from ``WEIGHT_MODES`` and ``OPTIMIZERS``.
 """
 from __future__ import annotations
 
@@ -49,6 +51,7 @@ WEIGHT_MODES = ("uniform", "inverse_frequency", "manual")
 OPTIMIZERS = ("adam", "gd")
 # Adam's moment decay rates and denominator floor (Kingma & Ba defaults)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+DROPOUT_BLOCK = 8192  # doubles (64 KiB) per draw of a dropout keep mask
 
 
 @dataclass(frozen=True)
@@ -135,13 +138,24 @@ def init_model(
 @dataclass
 class ForwardCache:
     # per layer, the operand multiplied by W(l): A_hat @ H(l) when the layer
-    # propagates first, H(l) itself when it propagates after the product
-    weight_inputs: list[np.ndarray]
-    pre_activation: list[np.ndarray]   # Z(l) for hidden layers (ReLU inputs)
+    # propagates first, else H(l); backward spends and clears those above 0
+    weight_inputs: list[np.ndarray | None]
+    active: list[np.ndarray]   # per hidden layer, Z(l) > 0: where ReLU passes
     # per hidden layer, the units inverted dropout kept (None when off); a
     # kept unit is multiplied by dropout_scale = 1/keep
     dropout_masks: list[np.ndarray | None]
     dropout_scale: float
+
+
+def dropout_mask(rng: np.random.Generator, shape: tuple[int, ...], keep: float) -> np.ndarray:
+    """``rng.random(shape) < keep``, drawn DROPOUT_BLOCK doubles at a time:
+    the generator fills a buffer in C order, one 64-bit word per double."""
+    mask = np.empty(shape, dtype=bool)
+    flat, block = mask.reshape(-1), np.empty(DROPOUT_BLOCK)
+    for start in range(0, flat.size, DROPOUT_BLOCK):
+        part = block[: min(DROPOUT_BLOCK, flat.size - start)]
+        np.less(rng.random(out=part), keep, out=flat[start : start + part.size])
+    return mask
 
 
 def _propagates_after(w: np.ndarray) -> bool:
@@ -184,7 +198,7 @@ def forward(
 
     h = X
     weight_inputs: list[np.ndarray] = []
-    pre_activation: list[np.ndarray] = []
+    active: list[np.ndarray] = []
     masks: list[np.ndarray | None] = []
     n_hidden = len(model.weights) - 1
     for layer, w in enumerate(model.weights):
@@ -199,12 +213,12 @@ def forward(
             z += model.biases[layer]
         if layer == n_hidden:
             break
-        pre_activation.append(z)
-        h = np.maximum(z, 0.0)
+        active.append(z > 0.0)
+        h = np.maximum(z, 0.0, out=z)
         if drop:
             # a kept unit is rounded once (h * 1/keep); a dropped one keeps
             # its zero's sign, so the bits are those of h * (mask / keep)
-            mask = rng.random(h.shape) < keep
+            mask = dropout_mask(rng, h.shape, keep)
             h *= mask
             h *= scale
             masks.append(mask)
@@ -214,7 +228,7 @@ def forward(
     shifted = z - z.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    return probs, ForwardCache(weight_inputs, pre_activation, masks, scale)
+    return probs, ForwardCache(weight_inputs, active, masks, scale)
 
 
 def weighted_ce_loss(
@@ -252,6 +266,9 @@ def backward(
     the gradient matches the exact function that was evaluated. A layer that
     propagated after its product takes A_hat^T @ delta first, then W^T; the
     others take delta @ W^T first, so each pass moves the narrow side.
+
+    It consumes `cache`: above layer 0, delta @ W^T overwrites the cached
+    operand its weight gradient has spent. Layer 0's (X or A_hat @ X) is read.
     """
     labels = np.asarray(labels, dtype=np.int64)
     mask = np.asarray(mask, dtype=bool)
@@ -268,13 +285,13 @@ def backward(
 
     n_hidden = n_layers - 1
     for layer in range(n_hidden, -1, -1):
-        # upstream is a fresh array each layer, so delta is updated in place
-        delta = upstream
+        # upstream is this backward's own array, so delta is updated in place
+        delta, upstream = upstream, None
         if layer < n_hidden:
             if cache.dropout_masks[layer] is not None:
                 delta *= cache.dropout_masks[layer]
                 delta *= cache.dropout_scale
-            delta *= cache.pre_activation[layer] > 0.0
+            delta *= cache.active[layer]
         if model.biases is not None:
             grads[n_layers + layer] = delta.sum(axis=0)
         w = model.weights[layer]
@@ -283,7 +300,11 @@ def backward(
             delta = spmv(adj_t, delta)
         grads[layer] = cache.weight_inputs[layer].T @ delta
         if layer > 0:
-            upstream = delta @ w.T if after else spmv(adj_t, delta @ w.T)
+            upstream = np.matmul(delta, w.T, out=cache.weight_inputs[layer])
+            cache.weight_inputs[layer] = None  # spent: it now holds upstream
+            if not after:
+                del delta
+                upstream = spmv(adj_t, upstream)
     return grads
 
 

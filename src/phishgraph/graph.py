@@ -80,13 +80,23 @@ class SparseMatrix:
     column ids in every row, the order in which ``spmv`` sums each row. The
     class exists only so that ``benchmarks/traced_cli.py`` can time
     ``transpose`` and read ``nnz`` and ``n_rows`` from ``spmv``'s operand. The
-    compiled routines read it unchecked, so only this module builds one."""
+    compiled routines read it unchecked, so it is checked when it is built."""
 
     indptr: np.ndarray   # (n_rows + 1,) int64 start of each row's entries
     indices: np.ndarray  # (nnz,) int64 column ids
     data: np.ndarray     # (nnz,) float64 values
     shape: tuple[int, int]
     symmetric: bool = False  # pattern and bits: the matrix is its own transpose
+
+    def __post_init__(self):
+        p, i, d = self.indptr, self.indices, self.data
+        kinds = [(a.dtype, a.ndim, a.flags.c_contiguous) for a in (p, i, d)]
+        if kinds != [(np.int64, 1, True)] * 2 + [(np.float64, 1, True)]:
+            raise ShapeMismatch("CSR arrays must be 1-D contiguous int64, int64 and float64")
+        if min(self.shape) < 0 or len(p) != self.n_rows + 1 or p[0] or np.any(p[1:] < p[:-1]):
+            raise ShapeMismatch(f"row pointers must rise from 0 over {self.n_rows} rows")
+        if not len(i) == len(d) == p[-1] or (i.size and not 0 <= i.min() <= i.max() < self.n_cols):
+            raise ShapeMismatch(f"entries must match the row pointers and {self.n_cols} columns")
 
     @property
     def n_rows(self) -> int:
@@ -103,11 +113,9 @@ class SparseMatrix:
     def transpose(self) -> "SparseMatrix":
         if self.symmetric:  # entry a_ij * (d_i * d_j) has the bits of a_ji * (d_j * d_i)
             return self
-        t = SparseMatrix(np.empty(self.n_cols + 1, np.int64), np.empty(self.nnz, np.int64),
-                         np.empty(self.nnz), self.shape[::-1])
-        _sparsetools().csr_tocsc(*self.shape, self.indptr, self.indices, self.data,
-                                 t.indptr, t.indices, t.data)
-        return t
+        t = np.empty(self.n_cols + 1, np.int64), np.empty(self.nnz, np.int64), np.empty(self.nnz)
+        _sparsetools().csr_tocsc(*self.shape, self.indptr, self.indices, self.data, *t)
+        return SparseMatrix(*t, self.shape[::-1])
 
 
 def spmv(m: SparseMatrix, dense: np.ndarray) -> np.ndarray:

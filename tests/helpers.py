@@ -2,11 +2,12 @@
 
 The oracles here are deliberately independent routes: dense matrix algebra
 for the sparse forward pass, central finite differences for the analytic
-gradients, per-transaction dictionaries for the graph, per-entry
-dictionaries for the normalized adjacency, plain pairwise counting for the
-metrics, a struct-level reader for model.bin, a node-by-node walk for
-forest votes and a per-node sort split search for forest trees. They never
-call the code paths they are used to check.
+gradients, an allocating training step for the bits of the in-place one,
+per-transaction dictionaries for the graph, per-entry dictionaries for the
+normalized adjacency, plain pairwise counting for the metrics, a
+struct-level reader for model.bin, a node-by-node walk for forest votes and
+a per-node sort split search for forest trees. They never call the code
+paths they are used to check.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from phishgraph.gcn import backward, forward, init_model, weighted_ce_loss
-from phishgraph.graph import build_graph, normalized_adjacency
+from phishgraph.graph import build_graph, normalized_adjacency, spmv
 from phishgraph.stats import DecisionTree
 from phishgraph.txmodel import (
     Address,
@@ -301,6 +302,53 @@ def random_graph_instance(seed: int, n_addr: int = 6, n_feat: int = 3,
         for b in model.biases:
             b += rng.normal(scale=0.1, size=b.shape)
     return adj, X, y, model
+
+
+def reference_step(model, adj, X, y, weights_pair, mask, dropout=0.0, seed=0):
+    """(probs, ReLU masks, dropout masks, gradients) of one training pass,
+    computed as plainly as the propagation rule reads: every activation,
+    pre-activation and gradient a fresh array, the keep mask one full-layer
+    draw. Same operations in the same order as ``forward`` and ``backward``,
+    so their bits must match."""
+    rng = np.random.default_rng(seed)
+    keep = 1.0 - dropout
+    n_hidden = len(model.weights) - 1
+    after = [w.shape[1] < w.shape[0] for w in model.weights]
+    h, inputs, pre, drops = X, [], [], []
+    for layer, w in enumerate(model.weights):
+        inputs.append(h if after[layer] else spmv(adj, h))
+        z = spmv(adj, h @ w) if after[layer] else inputs[layer] @ w
+        if model.biases is not None:
+            z = z + model.biases[layer]
+        if layer == n_hidden:
+            break
+        pre.append(z)
+        h = np.maximum(z, 0.0)
+        drops.append(rng.random(h.shape) < keep if dropout > 0.0 else None)
+        if dropout > 0.0:
+            h = h * drops[-1] * (1.0 / keep)
+    exp = np.exp(z - z.max(axis=1, keepdims=True))
+    probs = exp / exp.sum(axis=1, keepdims=True)
+
+    upstream = probs.copy()
+    upstream[np.arange(len(y)), y] -= 1.0
+    upstream = upstream * (np.asarray(weights_pair)[y] * mask)[:, None]
+    n_layers = len(model.weights)
+    grads = [None] * (2 * n_layers if model.biases is not None else n_layers)
+    for layer in range(n_hidden, -1, -1):
+        delta = upstream
+        if layer < n_hidden:
+            if drops[layer] is not None:
+                delta = delta * drops[layer] * (1.0 / keep)
+            delta = delta * (pre[layer] > 0.0)
+        if model.biases is not None:
+            grads[n_layers + layer] = delta.sum(axis=0)
+        w = model.weights[layer]
+        if after[layer]:
+            delta = spmv(adj.transpose(), delta)
+        grads[layer] = inputs[layer].T @ delta
+        upstream = delta @ w.T if after[layer] else spmv(adj.transpose(), delta @ w.T)
+    return probs, [z > 0.0 for z in pre], drops, grads
 
 
 def finite_difference_check(adj, X, y, model, weights_pair, dropout=0.0, seed=0,

@@ -179,6 +179,34 @@ class TestSparseMatrix:
         assert (t.n_rows, t.n_cols, t.nnz) == (2, 4, 3)
         assert np.array_equal(to_dense(t), to_dense(m).T)
 
+    # (indptr, indices, data, shape) of [[0, 2], [0, 0], [0, 0], [3, 1]], with
+    # one fault each: the compiled routines would read past these arrays
+    @pytest.mark.parametrize("fault", [
+        "indptr_int32", "indptr_short", "indptr_from_one", "indptr_falls", "shape_reversed",
+        "indices_int32", "data_float32", "indices_2d", "data_strided",
+        "indices_short", "data_long", "column_past_end", "column_negative",
+    ])
+    def test_malformed_arrays_rejected(self, fault):
+        parts = {"indptr": np.array([0, 1, 1, 1, 3]), "indices": np.array([1, 0, 1]),
+                 "data": np.array([2.0, 3.0, 1.0]), "shape": (4, 2)}
+        parts.update({
+            "indptr_int32": {"indptr": parts["indptr"].astype(np.int32)},
+            "indptr_short": {"indptr": parts["indptr"][1:]},
+            "indptr_from_one": {"indptr": np.array([1, 1, 1, 1, 3])},
+            "indptr_falls": {"indptr": np.array([0, 2, 1, 1, 3])},
+            "shape_reversed": {"shape": (2, 4)},
+            "indices_int32": {"indices": parts["indices"].astype(np.int32)},
+            "data_float32": {"data": parts["data"].astype(np.float32)},
+            "indices_2d": {"indices": parts["indices"].reshape(1, 3)},
+            "data_strided": {"data": np.array([2.0, 0.0, 3.0, 0.0, 1.0, 0.0])[::2]},
+            "indices_short": {"indices": parts["indices"][:2]},
+            "data_long": {"data": np.append(parts["data"], 4.0)},
+            "column_past_end": {"indices": np.array([2, 0, 1])},
+            "column_negative": {"indices": np.array([-1, 0, 1])},
+        }[fault])
+        with pytest.raises(ShapeMismatch):
+            SparseMatrix(**parts)
+
 
 class TestSpmv:
     def test_identity(self):
